@@ -195,8 +195,14 @@ def _config_dict(config):
     return asdict(config)
 
 
-def write_run_summary(path, problem, result):
-    payload = {
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _summary(problem, result):
+    return {
         "problem": problem.label,
         "dims": problem.dims,
         "seed": result.config.seed,
@@ -209,29 +215,23 @@ def write_run_summary(path, problem, result):
         "config": _config_dict(result.config),
         "stats": asdict(result.stats),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
-def _run_one(problem, config, seed):
-    result = optimize(problem.expression, problem.box,
-                      replace(config, seed=seed))
-    return (seed, result.trace,
-            {"best_y": result.y,
-             "best_x": [float(v) for v in result.x],
-             "steps": result.steps,
-             "evaluations": result.evaluations,
-             "termination_reason": result.termination_reason,
-             "elapsed_ms": result.elapsed_ms,
-             "config": _config_dict(result.config),
-             "stats": asdict(result.stats)})
+def write_run_summary(path, problem, result):
+    _write_json(path, _summary(problem, result))
+
+
+def _run_one(problem, config, seed, objective=None):
+    f = problem.expression if objective is None else objective
+    result = optimize(f, problem.box, replace(config, seed=seed))
+    return seed, result.trace, _summary(problem, result)
 
 
 def run_suite(problems, config, seeds, out_dir, jobs=1):
     """Run every (problem, seed) pair, writing one trace CSV and one
     summary JSON per run plus one aggregate JSON per problem.  Returns
-    {problem label: AggregateCurve}."""
+    {problem label: AggregateCurve}.  Runs in one process share the
+    problem's compiled kernels."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
     out = Path(out_dir)
@@ -246,19 +246,17 @@ def run_suite(problems, config, seeds, out_dir, jobs=1):
                                      [resolved] * len(seeds),
                                      seeds))
         else:
-            runs = [_run_one(problem, resolved, s) for s in seeds]
+            obj = ex.as_objective(problem.expression)
+            runs = [_run_one(problem, resolved, s, obj) for s in seeds]
         traces = []
         for seed, trace, summary in runs:
             stem = f"{problem.label}-seed{seed}"
             write_trace_csv(out / f"{stem}.csv", trace)
-            summary = dict(summary, problem=problem.label, dims=problem.dims,
-                           seed=seed, trace_csv=f"{stem}.csv")
-            with open(out / f"{stem}-summary.json", "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(out / f"{stem}-summary.json",
+                        dict(summary, trace_csv=f"{stem}.csv"))
             traces.append(trace)
         curve = aggregate_traces(traces)
-        payload = {
+        _write_json(out / f"{problem.label}-aggregate.json", {
             "name": problem.name,
             "dims": problem.dims,
             "seeds": list(seeds),
@@ -267,10 +265,7 @@ def run_suite(problems, config, seeds, out_dir, jobs=1):
             "std": curve.std,
             "std_convention": "population",
             "config": _config_dict(resolved),
-        }
-        with open(out / f"{problem.label}-aggregate.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         curves[problem.label] = curve
     return curves
 

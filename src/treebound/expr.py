@@ -859,15 +859,65 @@ def unparse(f):
 # ---------------------------------------------------------------------------
 # compilation to plain Python functions
 
-_COMPILE_NS = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt, "_fmax": _fmax, "_fmin": _fmin, "_step": _ref_step,
-    "inf": _INF, "nan": _NAN,
-}
+class _PointCode:
+    """Snippets of the point kernels: one float local per node."""
+
+    params = "x"
+    namespace = {
+        "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+        "sqrt": math.sqrt, "_fmax": _fmax, "_fmin": _fmin, "_step": _ref_step,
+        "inf": _INF, "nan": _NAN,
+    }
+
+    @staticmethod
+    def const(c):
+        return repr(c), []
+
+    @staticmethod
+    def var(i):
+        return f"v{i}", [f"v{i} = float(x[{i}])"]
+
+    @staticmethod
+    def op(k, payload, args, temp):
+        a = args[0]
+        if k == "add":
+            code = f"{a} + {args[1]}"
+        elif k == "sub":
+            code = f"{a} - ({args[1]})"
+        elif k == "mul":
+            code = f"{a} * {args[1]}"
+        elif k == "div":
+            code = f"{a} / ({args[1]})"
+        elif k == "neg":
+            code = f"-({a})"
+        elif k == "pow":
+            # parenthesized base: unary minus binds looser than **
+            code = f"{a} * {a}" if payload == 2 else f"({a}) ** {payload}"
+        elif k == "abs":
+            code = f"abs({a})"
+        elif k == "max":
+            code = f"_fmax({a}, {args[1]})"
+        elif k == "min":
+            code = f"_fmin({a}, {args[1]})"
+        elif k == "step":
+            code = f"_step({a})"
+        else:
+            code = f"{k}({a})"
+        return temp, [f"{temp} = {code}"]
+
+    @staticmethod
+    def result(names):
+        return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
 
 
-def _codegen(roots, name):
-    """Generate one function evaluating all roots with shared CSE."""
+def _codegen(roots, name, code=_PointCode):
+    """Generate one function evaluating all roots with shared CSE.
+
+    ``code`` writes the snippets: ``const(c)`` and ``var(i)`` name a leaf,
+    ``op(kind, payload, arg_names, temp)`` computes an operator node, each
+    returning (name, lines); ``result(root_names)`` is the returned
+    expression.  Names may be any hashable value, since they key the CSE.
+    """
     order = []
     seen = set()
     for r in roots:
@@ -878,58 +928,30 @@ def _codegen(roots, name):
     names = {}
     cse = {}
     lines = []
-    used_vars = sorted({n.payload for n in order if n.kind == "var"})
-    for i in used_vars:
-        lines.append(f"    v{i} = float(x[{i}])")
+    emit_const, emit_var, emit_op = code.const, code.var, code.op
     for node in order:
         k = node.kind
         if k == "const":
-            names[id(node)] = repr(node.payload)
-            continue
-        if k == "var":
-            names[id(node)] = f"v{node.payload}"
+            names[id(node)], body = emit_const(node.payload)
+            lines.extend(body)
             continue
         arg_names = tuple(names[id(a)] for a in node.args)
         key = (k, node.payload, arg_names)
         hit = cse.get(key)
-        if hit is not None:
-            names[id(node)] = hit
-            continue
-        a = arg_names[0]
-        if k == "add":
-            code = f"{a} + {arg_names[1]}"
-        elif k == "sub":
-            code = f"{a} - ({arg_names[1]})"
-        elif k == "mul":
-            code = f"{a} * {arg_names[1]}"
-        elif k == "div":
-            code = f"{a} / ({arg_names[1]})"
-        elif k == "neg":
-            code = f"-({a})"
-        elif k == "pow":
-            # parenthesized base: unary minus binds looser than **
-            code = (f"{a} * {a}" if node.payload == 2
-                    else f"({a}) ** {node.payload}")
-        elif k == "abs":
-            code = f"abs({a})"
-        elif k == "max":
-            code = f"_fmax({a}, {arg_names[1]})"
-        elif k == "min":
-            code = f"_fmin({a}, {arg_names[1]})"
-        elif k == "step":
-            code = f"_step({a})"
-        else:
-            code = f"{k}({a})"
-        temp = f"t{len(cse)}"
-        lines.append(f"    {temp} = {code}")
-        cse[key] = temp
-        names[id(node)] = temp
-    if len(roots) == 1:
-        ret = names[id(roots[0])]
-    else:
-        ret = "(" + ", ".join(names[id(r)] for r in roots) + ")"
-    src = f"def {name}(x):\n" + "\n".join(lines) + f"\n    return {ret}\n"
-    ns = dict(_COMPILE_NS)
+        if hit is None:
+            if k == "var":
+                hit, body = emit_var(node.payload)
+            else:
+                hit, body = emit_op(k, node.payload, arg_names,
+                                    f"t{len(cse)}")
+            lines.extend(body)
+            cse[key] = hit
+        names[id(node)] = hit
+    ret = code.result([names[id(r)] for r in roots])
+    src = (f"def {name}({code.params}):\n"
+           + "".join(f"    {line}\n" for line in lines)
+           + f"    return {ret}\n")
+    ns = dict(code.namespace)
     exec(compile(src, f"<compiled {name}>", "exec"), ns)
     return ns[name]
 
@@ -980,7 +1002,8 @@ class CompiledObjective:
 
     Each call to :meth:`value`, :meth:`gradient` or :meth:`hessian_diagonal`
     counts as one evaluation toward ``total_evaluations``, which is the
-    accounting the search budgets use.
+    accounting the search budgets use.  The derivative kernels and the
+    interval kernel are generated on first use and kept.
     """
 
     def __init__(self, expression):
@@ -989,6 +1012,7 @@ class CompiledObjective:
         self._value = compile_function(expression)
         self._grad = None
         self._hess = None
+        self._interval = None
         self.value_evals = 0
         self.gradient_evals = 0
         self.hessian_evals = 0
@@ -1017,6 +1041,14 @@ class CompiledObjective:
                 hessian_diagonal(self.expression).components, self.dims)
         self.hessian_evals += 1
         return np.array(self._hess(x), dtype=float)
+
+    def interval_kernel(self):
+        """``interval.compile_interval`` of the expression; not counted as
+        an evaluation."""
+        if self._interval is None:
+            from .interval import compile_interval
+            self._interval = compile_interval(self.expression)
+        return self._interval
 
 
 def as_objective(f):

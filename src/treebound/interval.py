@@ -6,9 +6,19 @@ value over the box (sound, not necessarily tight).  Enclosures are
 computed with ordinary double arithmetic; callers should allow an
 outward slack of ``1e-12 * (1 + |bound|)`` when asserting exactness.
 
+Each operator has one interval rule here, a function over the float
+endpoints of its operands.  ``compile_interval`` turns an expression into
+a straight-line kernel that calls those rules, using the CSE and node
+ordering of the point kernels (``expr._codegen``).  A
+``CompiledObjective`` compiles its kernel on the first bound and keeps
+it, so ``eval_interval`` and ``lower_bound`` accept either an Expression
+(compiled for that call) or a CompiledObjective.
+
 An operation whose real image is empty (e.g. log over a non-positive
 box) poisons the result: the whole line ``[-inf, +inf]`` flagged as
-invalid.  NaN is never stored in an interval.
+invalid.  Every operator with a poisoned operand is poisoned too, so the
+kernel raises at the first such rule and ``eval_interval`` returns
+``Interval.poisoned()``.  NaN is never stored in an interval.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DimensionMismatch, _postorder
+from .expr import CompiledObjective, DimensionMismatch, _codegen
 
 __all__ = [
     "Interval",
@@ -76,24 +86,32 @@ class Interval:
 _POISON = Interval.poisoned()
 
 
+class _Poison(Exception):
+    """Raised by a rule whose real image is empty.  Every operator with a
+    poisoned operand is poisoned too, so the whole enclosure is."""
+
+
+# Interval rules: each takes the (lo, hi) endpoints of its operands as
+# floats (plus the exponent for pow) and returns the result's (lo, hi).
+
 def _mk(lo, hi):
     if math.isnan(lo) or math.isnan(hi):
-        return _POISON
+        raise _Poison
     if lo > hi:
         lo, hi = hi, lo
-    return Interval(lo, hi)
+    return lo, hi
 
 
-def _iadd(a, b):
-    return _mk(a.lo + b.lo, a.hi + b.hi)
+def _iadd(alo, ahi, blo, bhi):
+    return _mk(alo + blo, ahi + bhi)
 
 
-def _isub(a, b):
-    return _mk(a.lo - b.hi, a.hi - b.lo)
+def _isub(alo, ahi, blo, bhi):
+    return _mk(alo - bhi, ahi - blo)
 
 
-def _ineg(a):
-    return Interval(-a.hi, -a.lo)
+def _ineg(alo, ahi):
+    return -ahi, -alo
 
 
 def _prod(p, q):
@@ -103,18 +121,16 @@ def _prod(p, q):
     return p * q
 
 
-def _imul(a, b):
-    c = (_prod(a.lo, b.lo), _prod(a.lo, b.hi),
-         _prod(a.hi, b.lo), _prod(a.hi, b.hi))
+def _imul(alo, ahi, blo, bhi):
+    c = (_prod(alo, blo), _prod(alo, bhi), _prod(ahi, blo), _prod(ahi, bhi))
     return _mk(min(c), max(c))
 
 
-def _idiv(a, b):
-    if b.lo <= 0.0 <= b.hi:
+def _idiv(alo, ahi, blo, bhi):
+    if blo <= 0.0 <= bhi:
         # divisor spans zero: unbounded, but not invalid
-        return Interval(-_INF, _INF)
-    inv = _mk(1.0 / b.hi, 1.0 / b.lo)
-    return _imul(a, inv)
+        return -_INF, _INF
+    return _imul(alo, ahi, *_mk(1.0 / bhi, 1.0 / blo))
 
 
 def _safe_pow(v, k):
@@ -124,17 +140,17 @@ def _safe_pow(v, k):
         return -_INF if (v < 0.0 and k % 2) else _INF
 
 
-def _ipow(a, k):
+def _ipow(alo, ahi, k):
     if k == 0:
-        return Interval(1.0, 1.0)
+        return 1.0, 1.0
     if k < 0:
-        return _idiv(Interval(1.0, 1.0), _ipow(a, -k))
-    plo, phi = _safe_pow(a.lo, k), _safe_pow(a.hi, k)
+        return _idiv(1.0, 1.0, *_ipow(alo, ahi, -k))
+    plo, phi = _safe_pow(alo, k), _safe_pow(ahi, k)
     if k % 2 == 1:
         return _mk(plo, phi)
-    if a.lo >= 0.0:
+    if alo >= 0.0:
         return _mk(plo, phi)
-    if a.hi <= 0.0:
+    if ahi <= 0.0:
         return _mk(phi, plo)
     return _mk(0.0, max(plo, phi))
 
@@ -154,33 +170,33 @@ def _crit_inside(lo, hi, c):
     return False
 
 
-def _isin(a):
-    if a.hi - a.lo >= _TWO_PI:
-        return Interval(-1.0, 1.0)
-    if not (math.isfinite(a.lo) and math.isfinite(a.hi)):
+def _isin(alo, ahi):
+    if ahi - alo >= _TWO_PI:
+        return -1.0, 1.0
+    if not (math.isfinite(alo) and math.isfinite(ahi)):
         # degenerate infinite endpoint: no real argument value exists
-        return _POISON
-    slo, shi = math.sin(a.lo), math.sin(a.hi)
+        raise _Poison
+    slo, shi = math.sin(alo), math.sin(ahi)
     lo, hi = min(slo, shi), max(slo, shi)
-    if _crit_inside(a.lo, a.hi, 0.5 * math.pi):
+    if _crit_inside(alo, ahi, 0.5 * math.pi):
         hi = 1.0
-    if _crit_inside(a.lo, a.hi, -0.5 * math.pi):
+    if _crit_inside(alo, ahi, -0.5 * math.pi):
         lo = -1.0
-    return Interval(lo, hi)
+    return lo, hi
 
 
-def _icos(a):
-    if a.hi - a.lo >= _TWO_PI:
-        return Interval(-1.0, 1.0)
-    if not (math.isfinite(a.lo) and math.isfinite(a.hi)):
-        return _POISON
-    clo, chi = math.cos(a.lo), math.cos(a.hi)
+def _icos(alo, ahi):
+    if ahi - alo >= _TWO_PI:
+        return -1.0, 1.0
+    if not (math.isfinite(alo) and math.isfinite(ahi)):
+        raise _Poison
+    clo, chi = math.cos(alo), math.cos(ahi)
     lo, hi = min(clo, chi), max(clo, chi)
-    if _crit_inside(a.lo, a.hi, 0.0):
+    if _crit_inside(alo, ahi, 0.0):
         hi = 1.0
-    if _crit_inside(a.lo, a.hi, math.pi):
+    if _crit_inside(alo, ahi, math.pi):
         lo = -1.0
-    return Interval(lo, hi)
+    return lo, hi
 
 
 def _safe_exp(v):
@@ -190,50 +206,57 @@ def _safe_exp(v):
         return _INF
 
 
-def _iexp(a):
-    return Interval(_safe_exp(a.lo), _safe_exp(a.hi))
+def _iexp(alo, ahi):
+    return _safe_exp(alo), _safe_exp(ahi)
 
 
-def _ilog(a):
-    if a.hi <= 0.0:
-        return _POISON
-    hi = math.log(a.hi)
-    if a.lo <= 0.0:
-        return Interval(-_INF, hi)
-    return Interval(math.log(a.lo), hi)
+def _ilog(alo, ahi):
+    if ahi <= 0.0:
+        raise _Poison
+    hi = math.log(ahi)
+    if alo <= 0.0:
+        return -_INF, hi
+    return math.log(alo), hi
 
 
-def _isqrt(a):
-    if a.hi < 0.0:
-        return _POISON
-    hi = math.sqrt(a.hi)
-    if a.lo < 0.0:
-        return Interval(0.0, hi)
-    return Interval(math.sqrt(a.lo), hi)
+def _isqrt(alo, ahi):
+    if ahi < 0.0:
+        raise _Poison
+    hi = math.sqrt(ahi)
+    if alo < 0.0:
+        return 0.0, hi
+    return math.sqrt(alo), hi
 
 
-def _iabs(a):
-    if a.lo >= 0.0:
-        return a
-    if a.hi <= 0.0:
-        return Interval(-a.hi, -a.lo)
-    return Interval(0.0, max(-a.lo, a.hi))
+def _iabs(alo, ahi):
+    if alo >= 0.0:
+        return alo, ahi
+    if ahi <= 0.0:
+        return -ahi, -alo
+    return 0.0, max(-alo, ahi)
 
 
-def _imax(a, b):
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+def _imax(alo, ahi, blo, bhi):
+    return max(alo, blo), max(ahi, bhi)
 
 
-def _imin(a, b):
-    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+def _imin(alo, ahi, blo, bhi):
+    return min(alo, blo), min(ahi, bhi)
 
 
-def _istep(a):
-    if a.hi < 0.0:
-        return Interval(0.0, 0.0)
-    if a.lo >= 0.0:
-        return Interval(1.0, 1.0)
-    return Interval(0.0, 1.0)
+def _istep(alo, ahi):
+    if ahi < 0.0:
+        return 0.0, 0.0
+    if alo >= 0.0:
+        return 1.0, 1.0
+    return 0.0, 1.0
+
+
+_RULES = {
+    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg,
+    "pow": _ipow, "sin": _isin, "cos": _icos, "exp": _iexp, "log": _ilog,
+    "sqrt": _isqrt, "abs": _iabs, "max": _imax, "min": _imin, "step": _istep,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +360,6 @@ class BoxDomain:
     def widest_dim(self):
         return int(np.argmax(self.widths))
 
-    def recenter(self, center):
-        """Box with the same side lengths centered at ``center``."""
-        half = 0.5 * self.widths
-        c = np.asarray(center, dtype=float)
-        return BoxDomain(c - half, c + half)
-
     def intersect(self, other):
         lows = np.maximum(self.lows, other.lows)
         highs = np.minimum(self.highs, other.highs)
@@ -393,61 +410,84 @@ def partition(box, k, rng=None):
 # ---------------------------------------------------------------------------
 # expression enclosure
 
-def eval_interval(f, box):
-    """Sound enclosure of ``f`` over ``box`` by natural interval extension."""
+class _IntervalCode:
+    """Snippets of the interval kernel for ``expr._codegen``: each node is
+    a pair of float locals, each operator one call of its rule."""
+
+    params = "lo, hi"
+    namespace = {"inf": _INF, "_Poison": _Poison,
+                 **{f"_{k}": rule for k, rule in _RULES.items()}}
+
+    @staticmethod
+    def const(c):
+        c = float(c)
+        if math.isnan(c):
+            # poisons the root, so the code after this line never runs
+            return ("nan", "nan"), ["raise _Poison"]
+        return (repr(c), repr(c)), []
+
+    @staticmethod
+    def var(i):
+        return (f"l{i}", f"h{i}"), [f"l{i} = lo[{i}]", f"h{i} = hi[{i}]"]
+
+    @staticmethod
+    def op(k, payload, args, temp):
+        if k not in _RULES:
+            raise ValueError(f"unknown node kind {k!r}")
+        operands = [end for pair in args for end in pair]
+        if k == "pow":
+            operands.append(repr(payload))
+        return ((f"{temp}l", f"{temp}h"),
+                [f"{temp}l, {temp}h = _{k}({', '.join(operands)})"])
+
+    @staticmethod
+    def result(names):
+        (lo, hi), = names
+        return f"{lo}, {hi}"
+
+
+def compile_interval(f):
+    """Straight-line interval kernel of expression ``f``.
+
+    ``kernel(lows, highs)`` takes the box's bounds as lists of floats and
+    returns the enclosure's ``(lo, hi)``; it raises ``_Poison`` when the
+    enclosure is poisoned.  Use it through :func:`eval_interval` or
+    :func:`lower_bound`, which catch that.
+    """
+    return _codegen([f], "_interval", _IntervalCode)
+
+
+def _enclose(f, box):
+    """(lo, hi) of ``f`` (an Expression, or a CompiledObjective whose
+    cached kernel is used) over ``box``; raises ``_Poison``."""
     if f.dims != box.dims:
         raise DimensionMismatch(
             f"expression over {f.dims} dimension(s), box has {box.dims}")
-    vals = {}
-    for node in _postorder(f):
-        k = node.kind
-        if k == "const":
-            v = _mk(node.payload, node.payload)
-        elif k == "var":
-            v = Interval(box.lows[node.payload], box.highs[node.payload])
-        else:
-            a = vals[id(node.args[0])]
-            b = vals[id(node.args[1])] if len(node.args) > 1 else None
-            if a.poison or (b is not None and b.poison):
-                v = _POISON
-            elif k == "add":
-                v = _iadd(a, b)
-            elif k == "sub":
-                v = _isub(a, b)
-            elif k == "mul":
-                v = _imul(a, b)
-            elif k == "div":
-                v = _idiv(a, b)
-            elif k == "neg":
-                v = _ineg(a)
-            elif k == "pow":
-                v = _ipow(a, node.payload)
-            elif k == "sin":
-                v = _isin(a)
-            elif k == "cos":
-                v = _icos(a)
-            elif k == "exp":
-                v = _iexp(a)
-            elif k == "log":
-                v = _ilog(a)
-            elif k == "sqrt":
-                v = _isqrt(a)
-            elif k == "abs":
-                v = _iabs(a)
-            elif k == "max":
-                v = _imax(a, b)
-            elif k == "min":
-                v = _imin(a, b)
-            elif k == "step":
-                v = _istep(a)
-            else:
-                raise ValueError(f"unknown node kind {k!r}")
-        vals[id(node)] = v
-    return vals[id(f)]
+    if isinstance(f, CompiledObjective):
+        kernel = f.interval_kernel()
+    else:
+        kernel = compile_interval(f)
+    return kernel(box.lows.tolist(), box.highs.tolist())
+
+
+def eval_interval(f, box):
+    """Sound enclosure of ``f`` over ``box`` by natural interval extension.
+
+    ``f`` is an Expression or a CompiledObjective."""
+    try:
+        lo, hi = _enclose(f, box)
+    except _Poison:
+        return _POISON
+    return Interval(lo, hi)
 
 
 def lower_bound(f, box):
     """Finite lower bound of ``f`` over ``box``: the interval extension's
-    low endpoint clamped into [-1e12, 1e12]."""
-    lo = eval_interval(f, box).lo
+    low endpoint clamped into [-1e12, 1e12].
+
+    ``f`` is an Expression or a CompiledObjective."""
+    try:
+        lo = _enclose(f, box)[0]
+    except _Poison:
+        lo = -_INF
     return float(min(max(lo, -LOWER_BOUND_CLAMP), LOWER_BOUND_CLAMP))

@@ -230,7 +230,7 @@ def expand(leaf, f, config, rng):
     for sub in boxes:
         x0 = sub.sample(rng)
         report = local_opt(obj, x0, sub, config.local_opt_budget)
-        child = _node_from_report(sub, lower_bound(obj.expression, sub),
+        child = _node_from_report(sub, lower_bound(obj, sub),
                                   log_volume(sub), report, leaf)
         children.append(child)
     if leaf.x is not None:
@@ -320,7 +320,7 @@ def learn(leaf, children, f, config, rng, stats=None):
 
     half = 0.5 * bj.widths
     b_star = omega.intersect(BoxDomain(x_star - half, x_star + half))
-    lb_star = lower_bound(obj.expression, b_star)
+    lb_star = lower_bound(obj, b_star)
     vol_star = log_volume(b_star)
     report = local_opt(obj, b_star.clip(x_star), b_star,
                        config.local_opt_budget)
@@ -389,14 +389,17 @@ def prune_root(root, config):
 # main loop
 
 def optimize(f, omega, config=None, observer=None, sample_log=None):
-    """Minimize expression ``f`` over the box ``omega``.
+    """Minimize ``f`` (an Expression or a CompiledObjective) over the box
+    ``omega``.
 
     Runs select / expand / learn / backup / prune iterations until a
     budget fires and returns the best sample with a per-step trace of
     the best value found so far.  Deterministic given (f, omega, config).
-    ``observer(root, step)`` is called after every iteration;
-    ``sample_log``, if a list, receives every point passed to the
-    objective.
+    Evaluations are counted from the start of this call, so passing one
+    CompiledObjective to several runs reuses its kernels without
+    changing their traces.  ``observer(root, step)`` is called after
+    every iteration; ``sample_log``, if a list, receives every point
+    passed to the objective.
     """
     config = (config or SearchConfig()).resolve(omega.dims)
     if f.dims != omega.dims:
@@ -404,9 +407,10 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
             f"expression over {f.dims} dimension(s), domain has {omega.dims}")
     obj = as_objective(f)
     obj.sample_log = sample_log
+    evals_before = obj.total_evaluations
     rng = np.random.default_rng(config.seed)
 
-    root = TreeNode(omega, lower_bound(f, omega), log_volume(omega))
+    root = TreeNode(omega, lower_bound(obj, omega), log_volume(omega))
     stats = SearchStats()
     trace = []
     timed = config.wall_clock_budget_ms is not None
@@ -421,7 +425,8 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
         stats.pruned_nodes += prune_root(root, config)
 
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        trace.append(TraceRecord(step, obj.total_evaluations,
+        evaluations = obj.total_evaluations - evals_before
+        trace.append(TraceRecord(step, evaluations,
                                  elapsed_ms if timed else 0.0, root.y))
         if observer is not None:
             observer(root, step)
@@ -429,7 +434,7 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
             reason = "steps"
             break
         if (config.eval_budget is not None
-                and obj.total_evaluations >= config.eval_budget):
+                and evaluations >= config.eval_budget):
             reason = "evals"
             break
         if timed and elapsed_ms >= config.wall_clock_budget_ms:
@@ -439,7 +444,7 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
     elapsed_ms = (time.perf_counter() - started) * 1e3
     best_x = None if root.x is None else np.array(root.x, dtype=float)
     return SearchResult(x=best_x, y=root.y,
-                        evaluations=obj.total_evaluations, steps=step,
+                        evaluations=evaluations, steps=step,
                         trace=trace, termination_reason=reason,
                         elapsed_ms=elapsed_ms, stats=stats, config=config,
                         root=root)

@@ -2,13 +2,20 @@
 
 Everything here is deliberately independent of the library internals it
 checks: membership counting, finite differences, and the reference
-benchmark formulas are written directly against numpy.
+benchmark formulas are written directly against numpy.  The one
+exception is ``reference_interval``, which applies the library's own
+interval rules node by node so that the compiled kernel's code
+generation and CSE can be checked against it bit for bit.
 """
+
+import math
+import struct
 
 import numpy as np
 
 from treebound import BoxDomain
 from treebound import expr as ex
+from treebound.interval import _RULES, _Poison, _mk
 
 # operations used when drawing random expressions; kink ops are added
 # only when requested so the smooth generator stays differentiable
@@ -94,6 +101,37 @@ def within_enclosure(value, interval):
     else:
         hi_ok = value <= hi
     return bool(lo_ok and hi_ok)
+
+
+def reference_interval(f, box):
+    """(lo, hi, poisoned) of ``f`` over ``box`` by a node-by-node walk
+    over the interval rules the compiled kernel calls, without its CSE."""
+    memo = {}
+
+    def walk(node):
+        if id(node) not in memo:
+            if node.kind == "const":
+                memo[id(node)] = _mk(node.payload, node.payload)
+            elif node.kind == "var":
+                memo[id(node)] = (float(box.lows[node.payload]),
+                                  float(box.highs[node.payload]))
+            else:
+                operands = [end for a in node.args for end in walk(a)]
+                if node.kind == "pow":
+                    operands.append(node.payload)
+                memo[id(node)] = _RULES[node.kind](*operands)
+        return memo[id(node)]
+
+    try:
+        lo, hi = walk(f)
+    except _Poison:
+        return -math.inf, math.inf, True
+    return lo, hi, False
+
+
+def interval_bits(lo, hi, poisoned):
+    """Exact identity of an enclosure, telling -0.0 from 0.0."""
+    return struct.pack("<dd", lo, hi), poisoned
 
 
 def membership_counts(boxes, points):

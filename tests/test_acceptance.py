@@ -212,6 +212,7 @@ def test_criterion_07_completeness_proxy_bimodal():
     _report(7, "both basins of the bimodal objective sampled on 5 seeds", ok)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name,dims,seconds,threshold,min_hits", [
     ("ackley", 10, 60.0, 0.01, 4),
     ("levy", 10, 60.0, 0.1, 4),

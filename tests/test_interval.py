@@ -16,9 +16,11 @@ from treebound import expr as ex
 from treebound.interval import LOWER_BOUND_CLAMP
 
 from helpers import (
+    interval_bits,
     membership_counts,
     random_box,
     random_expression,
+    reference_interval,
     within_enclosure,
 )
 
@@ -200,6 +202,79 @@ class TestSoundness:
                 assert small.hi <= big.hi + _slack(big.hi)
             else:
                 assert small.hi <= big.hi
+
+
+def _sub_boxes(rng, box, count):
+    for _ in range(count):
+        a = rng.uniform(box.lows, box.highs)
+        b = rng.uniform(box.lows, box.highs)
+        yield BoxDomain(np.minimum(a, b), np.maximum(a, b))
+
+
+class TestCompiledKernel:
+    """The compiled kernel against a plain walk over the same rules."""
+
+    @staticmethod
+    def _same(f, box):
+        iv = eval_interval(f, box)
+        return (interval_bits(iv.lo, iv.hi, iv.poison)
+                == interval_bits(*reference_interval(f, box)))
+
+    def test_fuzz_matches_reference_walk(self):
+        rng = np.random.default_rng(47)
+        poisoned = 0
+        for _ in range(2000):
+            dims = int(rng.integers(1, 4))
+            f = ex.with_dims(random_expression(rng, dims, 5, kinks=True), dims)
+            box = random_box(rng, dims)
+            assert self._same(f, box)
+            poisoned += eval_interval(f, box).poison
+        assert poisoned > 0
+
+    def test_relu_net_matches_reference_walk(self):
+        # the network of acceptance criterion 9: every hidden unit reuses
+        # the same ten variables, so the kernel's CSE merges many nodes
+        rng = np.random.default_rng(1009)
+        weights = ex.ReluNetWeights(
+            n=10, h=16, w1=rng.normal(size=(16, 10)), b1=rng.normal(size=16),
+            w2=rng.normal(size=16), b2=float(rng.normal()))
+        f = ex.relu_net_to_expression(weights)
+        obj = ex.as_objective(f)
+        box = BoxDomain.cube(-2.0, 2.0, 10)
+        for sub in [box, *_sub_boxes(rng, box, 50)]:
+            assert self._same(f, sub)
+            assert eval_interval(obj, sub) == eval_interval(f, sub)
+
+    def test_balanced_sum_of_repeated_terms_matches_reference_walk(self):
+        # structurally equal terms built apart: one kernel temp each
+        xs = [ex.var(i) for i in range(4)]
+        terms = [ex.mul(ex.sin(xs[i % 4]), ex.pow_int(ex.sub(xs[i % 4],
+                                                             ex.const(0.5)), 2))
+                 for i in range(12)]
+        f = ex.with_dims(ex.balanced_sum(terms), 4)
+        rng = np.random.default_rng(53)
+        for sub in _sub_boxes(rng, BoxDomain.cube(-3.0, 3.0, 4), 50):
+            assert self._same(f, sub)
+
+    def test_log_of_negative_box_poisons_through_kinks(self):
+        f = ex.parse("max(abs(log(x0)), 1) + sqrt(abs(log(x0)) + x1^2)", 2)
+        box = BoxDomain([-2.0, -1.0], [-1.0, 1.0])
+        iv = eval_interval(f, box)
+        assert iv.poison
+        assert reference_interval(f, box)[2]
+        assert lower_bound(f, box) == -LOWER_BOUND_CLAMP
+        assert not eval_interval(f, BoxDomain([0.5, -1.0], [2.0, 1.0])).poison
+
+    def test_objective_compiles_its_kernel_once_on_first_bound(self):
+        f = ex.parse("x0 * x1 - cos(x1)", 2)
+        obj = ex.as_objective(f)
+        assert obj._interval is None
+        box = BoxDomain.cube(-1.0, 1.0, 2)
+        assert lower_bound(obj, box) == lower_bound(f, box)
+        kernel = obj.interval_kernel()
+        lower_bound(obj, BoxDomain.cube(0.0, 1.0, 2))
+        assert obj.interval_kernel() is kernel
+        assert obj.total_evaluations == 0
 
 
 class TestBoxDomain:

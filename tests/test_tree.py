@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import treebound as tb
+from treebound import bench
 from treebound import expr as ex
 from treebound.interval import log_volume, lower_bound
 from treebound.tree import TreeNode, _aggregate
@@ -423,6 +424,26 @@ class TestOptimize:
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ex.DimensionMismatch):
             tb.optimize(ex.parse("x0", 1), tb.BoxDomain.cube(0.0, 1.0, 2))
+
+    def test_compiled_objective_reused_across_runs(self, tmp_path,
+                                                   monkeypatch):
+        p = tb.make_levy(3)
+        cfg = tb.SearchConfig(step_budget=15, seed=8)
+        bench.write_trace_csv(tmp_path / "plain.csv",
+                           tb.optimize(p.expression, p.box, cfg).trace)
+        built = []
+        real_gradient = ex.gradient
+        monkeypatch.setattr(
+            ex, "gradient", lambda f: built.append(f) or real_gradient(f))
+        obj = tb.as_objective(p.expression)
+        for name in ("first.csv", "second.csv"):
+            res = tb.optimize(obj, p.box, cfg)
+            bench.write_trace_csv(tmp_path / name, res.trace)
+            assert res.evaluations == res.trace[-1].evaluations
+        plain = (tmp_path / "plain.csv").read_bytes()
+        assert (tmp_path / "first.csv").read_bytes() == plain
+        assert (tmp_path / "second.csv").read_bytes() == plain
+        assert len(built) == 1
 
     def test_learned_nodes_pruned_to_cap(self):
         p = tb.make_ackley(2)
