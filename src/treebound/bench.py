@@ -196,9 +196,15 @@ def _config_dict(config):
 
 
 def _write_json(path, payload):
+    # a non-finite float would be written as Infinity or NaN, which is not
+    # JSON: writers map those to None first, and this refuses any left over
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_none(v):
+    return float(v) if math.isfinite(v) else None
 
 
 def _summary(problem, result):
@@ -206,7 +212,7 @@ def _summary(problem, result):
         "problem": problem.label,
         "dims": problem.dims,
         "seed": result.config.seed,
-        "best_y": result.y,
+        "best_y": _finite_or_none(result.y),
         "best_x": [float(v) for v in result.x],
         "steps": result.steps,
         "evaluations": result.evaluations,
@@ -261,8 +267,8 @@ def run_suite(problems, config, seeds, out_dir, jobs=1):
             "dims": problem.dims,
             "seeds": list(seeds),
             "steps": curve.steps,
-            "mean": curve.mean,
-            "std": curve.std,
+            "mean": [_finite_or_none(v) for v in curve.mean],
+            "std": [_finite_or_none(v) for v in curve.std],
             "std_convention": "population",
             "config": _config_dict(resolved),
         })

@@ -23,7 +23,7 @@ import numpy as np
 from . import bench
 from .expr import evaluate, gradient, hessian_diagonal
 from .interval import eval_interval
-from .tree import DEFAULT_STEP_BUDGET, SearchConfig, optimize
+from .tree import SearchConfig, optimize
 
 
 class UsageError(ValueError):
@@ -148,9 +148,6 @@ def _build_config(args, problem):
         config = replace(config, wall_clock_budget_ms=args.seconds * 1000.0)
     if args.evals is not None:
         config = replace(config, eval_budget=args.evals)
-    if (config.step_budget is None and config.eval_budget is None
-            and config.wall_clock_budget_ms is None):
-        config = replace(config, step_budget=DEFAULT_STEP_BUDGET)
     return config.validate()
 
 

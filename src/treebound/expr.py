@@ -103,13 +103,22 @@ class Expression:
     ``payload`` carries the constant value, the variable index, or the
     integer power exponent.  ``dims`` is the number of input dimensions
     the expression is declared over (at least ``max var index + 1``).
+    ``mask`` is the set of variables the node depends on, bit ``i`` for
+    ``x{i}``.
     """
 
-    __slots__ = ("kind", "args", "payload", "dims")
+    __slots__ = ("kind", "args", "payload", "dims", "mask")
 
     def __init__(self, kind, args=(), payload=None, dims=None):
         self.kind = kind
         self.args = tuple(args)
+        if kind == "var":
+            self.mask = 1 << payload
+        else:
+            mask = 0
+            for a in self.args:
+                mask |= a.mask
+            self.mask = mask
         if dims is None:
             dims = max((a.dims for a in self.args), default=0)
             if kind == "var":
@@ -328,26 +337,29 @@ def with_dims(e, n):
 # ---------------------------------------------------------------------------
 # traversal
 
-def _postorder(root):
-    """Every distinct node (by identity) after all of its children.
+def _postorder(roots):
+    """Every distinct node (by identity) reachable from ``roots``, each
+    after all of its children, in the order of a post-order walk of the
+    first root, then of the parts of the next root not yet visited.
 
     Iterative so that long operator chains do not hit the recursion limit.
     """
     out = []
     seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            out.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for child in node.args:
-            if id(child) not in seen:
-                stack.append((child, False))
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if ready:
+                out.append(node)
+                continue
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.append((node, True))
+            for child in node.args:
+                if child not in seen:
+                    stack.append((child, False))
     return out
 
 
@@ -365,7 +377,7 @@ def structurally_equal(a, b):
 
 
 def _has_kinks(root):
-    return any(n.kind in _KINKS for n in _postorder(root))
+    return any(n.kind in _KINKS for n in _postorder([root]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +456,29 @@ def evaluate(f, x):
         raise DimensionMismatch(
             f"expression over {f.dims} dimension(s) evaluated at a "
             f"{len(xs)}-vector")
+    return _evaluate_all([f], xs)[0]
+
+
+def _evaluate_all(roots, xs):
+    """Values of all ``roots`` at the float list ``xs`` from one walk, so
+    subexpressions shared between roots are evaluated once."""
     vals = {}
-    for node in _postorder(f):
+    for node in _postorder(roots):
         k = node.kind
         if k == "const":
             v = node.payload
         elif k == "var":
             v = xs[node.payload]
         else:
-            a = vals[id(node.args[0])]
+            a = vals[node.args[0]]
             if k == "add":
-                v = a + vals[id(node.args[1])]
+                v = a + vals[node.args[1]]
             elif k == "sub":
-                v = a - vals[id(node.args[1])]
+                v = a - vals[node.args[1]]
             elif k == "mul":
-                v = a * vals[id(node.args[1])]
+                v = a * vals[node.args[1]]
             elif k == "div":
-                v = _ref_div(a, vals[id(node.args[1])])
+                v = _ref_div(a, vals[node.args[1]])
             elif k == "neg":
                 v = -a
             elif k == "pow":
@@ -478,15 +496,15 @@ def evaluate(f, x):
             elif k == "abs":
                 v = abs(a)
             elif k == "max":
-                v = _fmax(a, vals[id(node.args[1])])
+                v = _fmax(a, vals[node.args[1]])
             elif k == "min":
-                v = _fmin(a, vals[id(node.args[1])])
+                v = _fmin(a, vals[node.args[1]])
             elif k == "step":
                 v = _ref_step(a)
             else:
                 raise ExpressionError(f"unknown node kind {k!r}")
-        vals[id(node)] = v
-    return float(vals[id(f)])
+        vals[node] = v
+    return tuple(float(vals[r]) for r in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -498,28 +516,51 @@ def differentiate(f, d):
     Non-smooth nodes use the fixed one-sided convention documented in
     the module docstring; the result is exact wherever ``f`` is smooth.
     """
-    memo = {}
-    for node in _postorder(f):
+    return with_dims(_derive(f, int(d), {}), f.dims)
+
+
+def _derive(root, d, memo):
+    """Derivative of ``root`` with respect to ``x{d}``, walking only the
+    nodes whose ``mask`` contains ``d``.
+
+    ``memo`` maps ``(node, d)`` to the node's derivative and is shared by
+    calls for other variables.  A node without ``x{d}`` is looked up as
+    ``(node, None)``, its derivative with respect to a variable it does
+    not contain.  The same rules build that once for every ``d``, and it
+    is not always ``0.0``: a constant under ``cos`` gives ``-0.0`` and an
+    infinite constant factor gives NaN.  Keys hold the nodes themselves,
+    because the rules drop intermediate nodes whose ``id`` could be
+    reused while ``memo`` lives.
+    """
+    bit = 1 << d if d >= 0 else 0
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        wrt = d if node.mask & bit else None
+        if (node, wrt) in memo:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.args)
+            continue
         k = node.kind
-        if k == "const":
+        if k == "const" or k == "step":
             r = const(0.0)
         elif k == "var":
-            r = const(1.0 if node.payload == d else 0.0)
-        elif k == "step":
-            r = const(0.0)
+            r = const(0.0 if wrt is None else 1.0)
         else:
             u = node.args[0]
-            du = memo[id(u)]
+            du = memo[(u, d if u.mask & bit else None)]
+            if len(node.args) == 2:
+                v = node.args[1]
+                dv = memo[(v, d if v.mask & bit else None)]
             if k == "add":
-                r = add(du, memo[id(node.args[1])])
+                r = add(du, dv)
             elif k == "sub":
-                r = sub(du, memo[id(node.args[1])])
+                r = sub(du, dv)
             elif k == "mul":
-                v = node.args[1]
-                r = add(mul(du, v), mul(u, memo[id(v)]))
+                r = add(mul(du, v), mul(u, dv))
             elif k == "div":
-                v = node.args[1]
-                dv = memo[id(v)]
                 r = div(sub(mul(du, v), mul(u, dv)), pow_int(v, 2))
             elif k == "neg":
                 r = neg(du)
@@ -540,22 +581,21 @@ def differentiate(f, d):
                 # sign(u) with sign(0) = 0
                 r = mul(sub(_step(u), _step(neg(u))), du)
             elif k == "max":
-                v = node.args[1]
                 sel = _step(sub(u, v))  # 1 on the first-argument branch
-                r = add(mul(sel, du), mul(sub(const(1.0), sel), memo[id(v)]))
+                r = add(mul(sel, du), mul(sub(const(1.0), sel), dv))
             elif k == "min":
-                v = node.args[1]
                 sel = _step(sub(v, u))
-                r = add(mul(sel, du), mul(sub(const(1.0), sel), memo[id(v)]))
+                r = add(mul(sel, du), mul(sub(const(1.0), sel), dv))
             else:
                 raise ExpressionError(f"unknown node kind {k!r}")
-        memo[id(node)] = r
-    return with_dims(memo[id(f)], f.dims)
+        memo[(node, wrt)] = r
+    return memo[(root, d if root.mask & bit else None)]
 
 
 @dataclass(frozen=True)
 class GradientVector:
-    """Per-dimension derivative expressions of a scalar expression."""
+    """Per-dimension derivative expressions of a scalar expression: the
+    gradient, or the Hessian diagonal (d-th is d²f/dx_d²)."""
 
     components: tuple
     subgradient_convention: bool  # True when abs/max/min kinks were resolved
@@ -570,30 +610,22 @@ class GradientVector:
         return self.components[i]
 
 
-@dataclass(frozen=True)
-class HessianDiagonal:
-    """Per-dimension second derivative expressions (d-th is d²f/dx_d²)."""
-
-    components: tuple
-    subgradient_convention: bool
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
+HessianDiagonal = GradientVector
 
 
 def gradient(f):
-    comps = tuple(differentiate(f, d) for d in range(f.dims))
+    memo = {}
+    comps = tuple(with_dims(_derive(f, d, memo), f.dims)
+                  for d in range(f.dims))
     return GradientVector(comps, _has_kinks(f))
 
 
 def hessian_diagonal(f):
-    comps = tuple(differentiate(differentiate(f, d), d) for d in range(f.dims))
+    # one memo for both passes: the second reuses the (node, d) entries
+    # the first made for the nodes of f that g_d contains
+    memo = {}
+    comps = tuple(with_dims(_derive(_derive(f, d, memo), d, memo), f.dims)
+                  for d in range(f.dims))
     return HessianDiagonal(comps, _has_kinks(f))
 
 
@@ -823,7 +855,7 @@ def unparse(f):
     ``step(...)``, which the grammar does not accept back)."""
     parts = {}
     prec = {}
-    for node in _postorder(f):
+    for node in _postorder([f]):
         k = node.kind
         if k == "const":
             s = repr(node.payload)
@@ -918,24 +950,17 @@ def _codegen(roots, name, code=_PointCode):
     returning (name, lines); ``result(root_names)`` is the returned
     expression.  Names may be any hashable value, since they key the CSE.
     """
-    order = []
-    seen = set()
-    for r in roots:
-        for node in _postorder(r):
-            if id(node) not in seen:
-                seen.add(id(node))
-                order.append(node)
     names = {}
     cse = {}
     lines = []
     emit_const, emit_var, emit_op = code.const, code.var, code.op
-    for node in order:
+    for node in _postorder(roots):
         k = node.kind
         if k == "const":
-            names[id(node)], body = emit_const(node.payload)
+            names[node], body = emit_const(node.payload)
             lines.extend(body)
             continue
-        arg_names = tuple(names[id(a)] for a in node.args)
+        arg_names = tuple(names[a] for a in node.args)
         key = (k, node.payload, arg_names)
         hit = cse.get(key)
         if hit is None:
@@ -946,8 +971,8 @@ def _codegen(roots, name, code=_PointCode):
                                     f"t{len(cse)}")
             lines.extend(body)
             cse[key] = hit
-        names[id(node)] = hit
-    ret = code.result([names[id(r)] for r in roots])
+        names[node] = hit
+    ret = code.result([names[r] for r in roots])
     src = (f"def {name}({code.params}):\n"
            + "".join(f"    {line}\n" for line in lines)
            + f"    return {ret}\n")
@@ -980,7 +1005,7 @@ def compile_vector(components, dims):
     components = tuple(components)
     if not components:
         return lambda x: ()
-    fast = _codegen(list(components), "_v")
+    fast = _codegen(components, "_v")
     single = len(components) == 1
 
     def fn(x):
@@ -992,7 +1017,7 @@ def compile_vector(components, dims):
             out = fast(x)
             return (out,) if single else out
         except (ValueError, OverflowError, ZeroDivisionError):
-            return tuple(evaluate(c, x) for c in components)
+            return _evaluate_all(components, [float(v) for v in x])
 
     return fn
 

@@ -473,7 +473,9 @@ def _enclose(f, box):
 def eval_interval(f, box):
     """Sound enclosure of ``f`` over ``box`` by natural interval extension.
 
-    ``f`` is an Expression or a CompiledObjective."""
+    ``f`` is an Expression or a CompiledObjective.  A bare Expression is
+    compiled to an interval kernel on every call; callers that bound many
+    boxes should pass ``as_objective(f)``, which keeps its kernel."""
     try:
         lo, hi = _enclose(f, box)
     except _Poison:
@@ -485,7 +487,9 @@ def lower_bound(f, box):
     """Finite lower bound of ``f`` over ``box``: the interval extension's
     low endpoint clamped into [-1e12, 1e12].
 
-    ``f`` is an Expression or a CompiledObjective."""
+    ``f`` is an Expression or a CompiledObjective.  A bare Expression is
+    compiled to an interval kernel on every call; callers that bound many
+    boxes should pass ``as_objective(f)``, which keeps its kernel."""
     try:
         lo = _enclose(f, box)[0]
     except _Poison:

@@ -63,7 +63,8 @@ def local_opt(f, x0, box, budget):
     """Refine ``x0`` within ``box`` using at most ``budget`` evaluations.
 
     ``f`` may be an expression or a compiled objective (whose counters
-    then absorb the evaluations).
+    then absorb the evaluations).  A bare Expression is compiled on every
+    call; repeated callers should pass ``as_objective(f)``.
     """
     obj = as_objective(f)
     budget = int(budget)

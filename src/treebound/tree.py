@@ -125,8 +125,9 @@ class SearchConfig:
             raise ValueError("root_child_cap must be >= 1")
         for name in ("step_budget", "eval_budget", "wall_clock_budget_ms"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when set")
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive when set")
         return self
 
     def resolve(self, dims):
@@ -223,7 +224,11 @@ def expand(leaf, f, config, rng):
     one uniform point in each, refine it locally, and attach the pieces
     as children.  The leaf's own best sample is inherited by whichever
     child box contains it, so no information is lost when the backup
-    rule later replaces the leaf's value with the child minimum."""
+    rule later replaces the leaf's value with the child minimum.
+
+    ``f`` is an Expression or a CompiledObjective.  A bare Expression is
+    compiled on every call; repeated callers should pass
+    ``as_objective(f)``."""
     obj = as_objective(f)
     boxes = partition(leaf.box, config.num_children, rng)
     children = []
@@ -282,6 +287,10 @@ def learn(leaf, children, f, config, rng, stats=None):
     the stepped point, clipped into the domain, and the node is attached
     to the root.  Returns None (and counts a skip) when no dimension has
     a finite averaged gradient.
+
+    ``f`` is an Expression or a CompiledObjective.  A bare Expression is
+    compiled and differentiated on every call; repeated callers should
+    pass ``as_objective(f)``.
     """
     if not children:
         raise ValueError("learn requires a non-empty child list")

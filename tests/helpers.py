@@ -2,10 +2,12 @@
 
 Everything here is deliberately independent of the library internals it
 checks: membership counting, finite differences, and the reference
-benchmark formulas are written directly against numpy.  The one
-exception is ``reference_interval``, which applies the library's own
-interval rules node by node so that the compiled kernel's code
-generation and CSE can be checked against it bit for bit.
+benchmark formulas are written directly against numpy.  The exceptions
+are ``reference_interval``, which applies the library's own interval
+rules node by node so that the compiled kernel's code generation and
+CSE can be checked against it bit for bit, and ``reference_derivative``,
+the dense per-variable walk over the library's derivative rules that
+the sparse differentiation must reproduce node for node.
 """
 
 import math
@@ -127,6 +129,81 @@ def reference_interval(f, box):
     except _Poison:
         return -math.inf, math.inf, True
     return lo, hi, False
+
+
+def reference_derivative(f, d):
+    """d f / d x{d} by a walk over every node of ``f``, with the same
+    rules and constant folding as ``expr.differentiate``."""
+    memo = {}
+    for node in ex._postorder([f]):
+        k = node.kind
+        if k == "const" or k == "step":
+            r = ex.const(0.0)
+        elif k == "var":
+            r = ex.const(1.0 if node.payload == d else 0.0)
+        else:
+            u = node.args[0]
+            du = memo[id(u)]
+            if len(node.args) == 2:
+                v = node.args[1]
+                dv = memo[id(v)]
+            if k == "add":
+                r = ex.add(du, dv)
+            elif k == "sub":
+                r = ex.sub(du, dv)
+            elif k == "mul":
+                r = ex.add(ex.mul(du, v), ex.mul(u, dv))
+            elif k == "div":
+                r = ex.div(ex.sub(ex.mul(du, v), ex.mul(u, dv)),
+                           ex.pow_int(v, 2))
+            elif k == "neg":
+                r = ex.neg(du)
+            elif k == "pow":
+                kk = node.payload
+                r = ex.mul(ex.mul(ex.const(float(kk)), ex.pow_int(u, kk - 1)),
+                           du)
+            elif k == "sin":
+                r = ex.mul(ex.cos(u), du)
+            elif k == "cos":
+                r = ex.neg(ex.mul(ex.sin(u), du))
+            elif k == "exp":
+                r = ex.mul(ex.exp(u), du)
+            elif k == "log":
+                r = ex.div(du, u)
+            elif k == "sqrt":
+                r = ex.div(du, ex.mul(ex.const(2.0), ex.sqrt(u)))
+            elif k == "abs":
+                r = ex.mul(ex.sub(ex._step(u), ex._step(ex.neg(u))), du)
+            elif k in ("max", "min"):
+                sel = ex._step(ex.sub(u, v) if k == "max" else ex.sub(v, u))
+                r = ex.add(ex.mul(sel, du),
+                           ex.mul(ex.sub(ex.const(1.0), sel), dv))
+            else:
+                raise ValueError(f"unknown node kind {k!r}")
+        memo[id(node)] = r
+    return ex.with_dims(memo[id(f)], f.dims)
+
+
+def identical_trees(a, b):
+    """Structural equality that also compares constants bit for bit, so
+    -0.0 differs from 0.0 and a NaN constant equals itself.  Each pair of
+    shared nodes is compared once, so large DAGs take linear time."""
+    done = set()
+    stack = [(a, b)]
+    while stack:
+        u, v = stack.pop()
+        if u is v or (id(u), id(v)) in done:
+            continue
+        done.add((id(u), id(v)))
+        if u.kind != v.kind or len(u.args) != len(v.args):
+            return False
+        if u.kind == "const":
+            if struct.pack("<d", u.payload) != struct.pack("<d", v.payload):
+                return False
+        elif u.payload != v.payload:
+            return False
+        stack.extend(zip(u.args, v.args))
+    return True
 
 
 def interval_bits(lo, hi, poisoned):

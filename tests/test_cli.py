@@ -98,6 +98,30 @@ class TestSuiteCommand:
                      "--out", str(tmp_path)]) == 2
 
 
+class TestNonFiniteSummary:
+    def test_all_nan_objective_writes_null(self, tmp_path):
+        # log is NaN on the whole domain, so no sample is ever finite
+        path = tmp_path / "logneg.txt"
+        path.write_text("dims: 1\ndomain: [-2, -1] x 1\nlog(x0)\n")
+        out = tmp_path / "r"
+        main(["optimize", "--expr-file", str(path), "--steps", "3",
+              "--out", str(out)])
+        main(["suite", "--expr-file", str(path), "--steps", "3",
+              "--seeds", "0,1", "--out", str(out / "suite")])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        def load(p):
+            return json.loads(p.read_text(), parse_constant=refuse)
+
+        assert load(out / "logneg-1d-seed0-summary.json")["best_y"] is None
+        assert load(out / "suite" / "logneg-1d-seed1-summary.json")[
+            "best_y"] is None
+        agg = load(out / "suite" / "logneg-1d-aggregate.json")
+        assert agg["mean"] == [None] * 3 and agg["std"] == [None] * 3
+
+
 class TestBoundCommand:
     def test_prints_enclosure(self, tmp_path, capsys):
         path = tmp_path / "f.txt"

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import treebound as tb
 from treebound import expr as ex
 from treebound import make_ackley, make_levy
+from treebound.bench import make_builtin
 
-from helpers import central_diff, random_expression, second_central_diff
+from helpers import (
+    central_diff,
+    identical_trees,
+    random_expression,
+    reference_derivative,
+    second_central_diff,
+)
 
 
 class TestParse:
@@ -203,6 +211,143 @@ class TestDifferentiate:
             checked += 1
             for sym, fd in zip(vals, fds):
                 assert abs(sym - fd) / max(1.0, abs(sym)) < 1e-5
+
+
+def _spy_on_codegen(monkeypatch):
+    """List that receives the source text of every generated kernel."""
+    sources = []
+
+    def spy(src, filename, mode):
+        sources.append(src)
+        return compile(src, filename, mode)
+
+    monkeypatch.setattr(ex, "compile", spy, raising=False)
+    return sources
+
+
+def _assert_matches_reference(f, sources):
+    """Every gradient and Hessian-diagonal component equals the dense
+    reference walk's, constants bit for bit, and compiles to the same
+    kernel source."""
+    grad = ex.gradient(f)
+    hess = ex.hessian_diagonal(f)
+    want_g = [reference_derivative(f, d) for d in range(f.dims)]
+    want_h = [reference_derivative(g, d) for d, g in enumerate(want_g)]
+    assert len(grad) == len(hess) == f.dims
+    for got, want in zip(grad.components + hess.components, want_g + want_h):
+        assert identical_trees(got, want), ex.unparse(f)
+    assert identical_trees(ex.differentiate(f, f.dims - 1), want_g[-1])
+    for got, want in ((grad.components, want_g), (hess.components, want_h)):
+        sources.clear()
+        ex.compile_vector(got, f.dims)
+        ex.compile_vector(want, f.dims)
+        assert sources[0] == sources[1], ex.unparse(f)
+
+
+def _with_constant(rng, c):
+    """Random expression over x0..x2 with the constant ``c`` built in."""
+    a = random_expression(rng, 3, 3, kinks=True)
+    b = random_expression(rng, 3, 3, kinks=True)
+    k = ex.const(c)
+    shapes = [ex.add(ex.mul(k, a), b), ex.div(a, k), ex.div(k, a),
+              ex.sub(ex.cos(ex.mul(k, a)), b), ex.maximum(a, ex.mul(b, k)),
+              ex.pow_int(ex.sub(a, k), 2), ex.exp(ex.mul(k, ex.var(1))),
+              ex.mul(ex.sin(ex.add(a, k)), ex.log(b))]
+    return ex.with_dims(shapes[int(rng.integers(len(shapes)))], 3)
+
+
+class TestSparseDifferentiation:
+    """The sparse walk against the dense per-variable reference."""
+
+    def test_fuzz_corpus(self, monkeypatch):
+        sources = _spy_on_codegen(monkeypatch)
+        rng = np.random.default_rng(31)
+        for kinks in (True, False):
+            for _ in range(150):
+                f = ex.with_dims(random_expression(rng, 3, 5, kinks), 3)
+                _assert_matches_reference(f, sources)
+
+    def test_nan_inf_and_zero_constants(self, monkeypatch):
+        sources = _spy_on_codegen(monkeypatch)
+        rng = np.random.default_rng(37)
+        for c in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+            for _ in range(30):
+                _assert_matches_reference(_with_constant(rng, c), sources)
+
+    def test_literal_zero_divisor_and_kinks(self, monkeypatch):
+        sources = _spy_on_codegen(monkeypatch)
+        for text in ("x0 / 0", "sin(x1) / 0 + x0 * x2", "(x0 * x1) / (0 * x2)",
+                     "abs(x0 - x1)", "max(x0, 2*x0) + min(3*x1, x1)",
+                     "min(3*x0, x1) * abs(x1)", "max(abs(x0), min(x1, x2))",
+                     "cos(x1) + 0 * x2", "cos(x1)"):
+            _assert_matches_reference(ex.parse(text, 3), sources)
+
+    def test_100d_builtins(self, monkeypatch):
+        sources = _spy_on_codegen(monkeypatch)
+        for name in ("ackley", "levy", "michalewicz"):
+            _assert_matches_reference(make_builtin(name, 100).expression,
+                                      sources)
+
+    def test_long_chain_is_iterative(self, monkeypatch):
+        # affine steps over a nonlinear base, so both derivatives walk all
+        # 50,000 levels but their kernels stay small enough to compile fast
+        sources = _spy_on_codegen(monkeypatch)
+        x1 = ex.var(1)
+        steps = [lambda e: ex.add(e, x1), lambda e: ex.mul(e, ex.const(0.5)),
+                 lambda e: ex.sub(ex.const(2.0), e), ex.neg]
+        e = ex.mul(ex.sin(ex.var(0)), ex.maximum(x1, ex.var(0)))
+        for i in range(35_000):
+            e = steps[i % 4](e)
+        f = ex.with_dims(e, 2)
+        assert len(ex._postorder([f])) >= 50_000
+        _assert_matches_reference(f, sources)
+
+    def test_absent_variable_keeps_negative_zero(self):
+        # d cos(x1) / d x0 = -(sin(x1) * 0) folds to -0.0
+        g = ex.gradient(ex.parse("cos(x1)", 2))
+        assert math.copysign(1.0, g[0].payload) == -1.0
+        fn = ex.compile_vector(g.components, 2)
+        assert math.copysign(1.0, fn([0.3, 0.4])[0]) == -1.0
+
+    def test_setup_grows_linearly_with_dimension(self, monkeypatch):
+        # deterministic stand-in for timing: nodes built by gradient and
+        # hessian_diagonal; the dense walk grows 4x per doubling of n
+        built = {}
+        init = ex.Expression.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[n] += 1
+            init(self, *args, **kwargs)
+
+        for n in (200, 400):
+            f = make_builtin("ackley", n).expression
+            built[n] = 0
+            with monkeypatch.context() as m:
+                m.setattr(ex.Expression, "__init__", counting_init)
+                ex.gradient(f)
+                ex.hessian_diagonal(f)
+        assert built[400] / built[200] < 2.5
+
+    def test_hessian_diagonal_alias(self):
+        h = ex.hessian_diagonal(ex.parse("abs(x0) * x1", 2))
+        assert tb.HessianDiagonal is tb.GradientVector
+        assert isinstance(h, tb.HessianDiagonal)
+        assert h.subgradient_convention
+
+
+class TestCompileVectorFallback:
+    def test_domain_error_evaluates_every_component(self):
+        # math.log raises on -1, so the kernel falls back to the walk
+        shared = ex.parse("log(x0) + x1", 2)
+        comps = (shared, ex.mul(shared, ex.var(1)), ex.parse("x0 * x1", 2),
+                 ex.parse("sqrt(x1)", 2))
+        fn = ex.compile_vector(comps, 2)
+        for x in ([-1.0, 2.0], [3.0, -4.0], [2.0, 5.0]):
+            want = [ex.evaluate(c, x) for c in comps]
+            got = fn(x)
+            assert len(got) == len(comps)
+            for g, w in zip(got, want):
+                assert g == w or (math.isnan(g) and math.isnan(w))
 
 
 class TestReluNet:

@@ -479,6 +479,8 @@ class TestSearchConfig:
         {"delta_fraction": 1.5},
         {"root_child_cap": 0},
         {"step_budget": 0},
+        {"wall_clock_budget_ms": math.inf},
+        {"eval_budget": math.nan},
     ])
     def test_validation_errors(self, bad):
         with pytest.raises(ValueError):
