@@ -175,9 +175,11 @@ def aggregate_traces(traces):
         vals.extend([vals[-1]] * (horizon - len(vals)))
         rows.append(vals)
     arr = np.asarray(rows, dtype=float)
+    # a step where no run has a finite value has mean inf and std NaN
+    with np.errstate(invalid="ignore"):
+        mean, std = arr.mean(axis=0), arr.std(axis=0)
     return AggregateCurve(steps=list(range(1, horizon + 1)),
-                          mean=list(arr.mean(axis=0)),
-                          std=list(arr.std(axis=0)),
+                          mean=mean.tolist(), std=std.tolist(),
                           seed_count=len(traces))
 
 

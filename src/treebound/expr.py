@@ -907,7 +907,7 @@ class _PointCode:
 
     @staticmethod
     def var(i):
-        return f"v{i}", [f"v{i} = float(x[{i}])"]
+        return f"v{i}", [f"v{i} = x[{i}]"]
 
     @staticmethod
     def op(k, payload, args, temp):
@@ -981,6 +981,17 @@ def _codegen(roots, name, code=_PointCode):
     return ns[name]
 
 
+def _point_list(x, dims):
+    """``x`` as a list of ``dims`` Python floats, the input of the point
+    kernels; converted once per call, not once per variable load."""
+    xs = np.asarray(x, dtype=float)
+    if xs.shape != (dims,):
+        raise DimensionMismatch(
+            f"expression over {dims} dimension(s) evaluated at an array "
+            f"of shape {xs.shape}")
+    return xs.tolist()
+
+
 def compile_function(f):
     """Fast callable for ``f``; falls back to the reference tree walk on
     domain errors so NaN semantics are preserved exactly."""
@@ -988,14 +999,11 @@ def compile_function(f):
     dims = f.dims
 
     def fn(x):
-        if len(x) != dims:
-            raise DimensionMismatch(
-                f"expression over {dims} dimension(s) evaluated at a "
-                f"{len(x)}-vector")
+        xs = _point_list(x, dims)
         try:
-            return fast(x)
+            return fast(xs)
         except (ValueError, OverflowError, ZeroDivisionError):
-            return evaluate(f, x)
+            return _evaluate_all([f], xs)[0]
 
     return fn
 
@@ -1009,15 +1017,12 @@ def compile_vector(components, dims):
     single = len(components) == 1
 
     def fn(x):
-        if len(x) != dims:
-            raise DimensionMismatch(
-                f"expression over {dims} dimension(s) evaluated at a "
-                f"{len(x)}-vector")
+        xs = _point_list(x, dims)
         try:
-            out = fast(x)
+            out = fast(xs)
             return (out,) if single else out
         except (ValueError, OverflowError, ZeroDivisionError):
-            return _evaluate_all(components, [float(v) for v in x])
+            return _evaluate_all(components, xs)
 
     return fn
 

@@ -287,13 +287,18 @@ class BoxDomain:
             closed_hi = np.ones(lows.size, dtype=bool)
         else:
             closed_hi = np.asarray(closed_hi, dtype=bool).copy()
-        lows = lows.copy()
-        highs = highs.copy()
+        self._adopt(lows.copy(), highs.copy(), closed_hi)
+
+    def _adopt(self, lows, highs, closed_hi):
+        """Take bound arrays already known to be valid, without checks or
+        copies; an array shared with another box stays shared, which its
+        read-only flag makes safe."""
         for arr in (lows, highs, closed_hi):
             arr.setflags(write=False)
         self.lows = lows
         self.highs = highs
         self.closed_hi = closed_hi
+        return self
 
     @classmethod
     def cube(cls, lo, hi, dims):
@@ -331,12 +336,12 @@ class BoxDomain:
             return False
         above = x >= self.lows
         below = (x < self.highs) | (self.closed_hi & (x == self.highs))
-        return bool(np.all(above) and np.all(below))
+        return bool(above.all() and below.all())
 
     def encloses(self, x):
         """Closed membership, ignoring face-closure flags."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lows) and np.all(x <= self.highs))
+        return bool((x >= self.lows).all() and (x <= self.highs).all())
 
     def clip(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
@@ -348,17 +353,20 @@ class BoxDomain:
         """Bisect dimension ``d`` at its midpoint; the lower piece gets an
         open upper face at ``d``."""
         mid = 0.5 * (self.lows[d] + self.highs[d])
+        if not math.isfinite(mid):  # lo + hi overflowed
+            raise ValueError("box bounds must be finite")
         left_hi = self.highs.copy()
         left_hi[d] = mid
         left_closed = self.closed_hi.copy()
         left_closed[d] = False
         right_lo = self.lows.copy()
         right_lo[d] = mid
-        return (BoxDomain(self.lows, left_hi, left_closed),
-                BoxDomain(right_lo, self.highs, self.closed_hi))
+        new = object.__new__
+        return (new(BoxDomain)._adopt(self.lows, left_hi, left_closed),
+                new(BoxDomain)._adopt(right_lo, self.highs, self.closed_hi))
 
     def widest_dim(self):
-        return int(np.argmax(self.widths))
+        return int(self.widths.argmax())
 
     def intersect(self, other):
         lows = np.maximum(self.lows, other.lows)
@@ -384,7 +392,7 @@ class BoxDomain:
 def log_volume(box):
     """Sum of log side lengths; degenerate widths are floored at 1e-300
     so the result stays finite."""
-    return float(np.sum(np.log(np.maximum(box.widths, _WIDTH_FLOOR))))
+    return float(np.log(np.maximum(box.widths, _WIDTH_FLOOR)).sum())
 
 
 def partition(box, k, rng=None):
@@ -400,7 +408,7 @@ def partition(box, k, rng=None):
     pieces = [box]
     vols = [log_volume(box)]
     while len(pieces) < k:
-        i = int(np.argmax(vols))
+        i = vols.index(max(vols))  # the first largest, as np.argmax
         left, right = pieces[i].split(pieces[i].widest_dim())
         pieces[i:i + 1] = [left, right]
         vols[i:i + 1] = [log_volume(left), log_volume(right)]

@@ -15,10 +15,12 @@ stops.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import clip as _clip
 
 from .expr import as_objective
 
@@ -47,14 +49,14 @@ def _lbfgs_direction(memory, g):
     q = g.copy()
     alphas = []
     for s, yk, rho in reversed(memory):
-        a = rho * float(np.dot(s, q))
+        a = rho * s.dot(q)
         q -= a * yk
         alphas.append(a)
     s, yk, _ = memory[-1]
-    gamma = float(np.dot(s, yk)) / float(np.dot(yk, yk))
+    gamma = s.dot(yk) / yk.dot(yk)
     q *= gamma
     for (s, yk, rho), a in zip(memory, reversed(alphas)):
-        b = rho * float(np.dot(yk, q))
+        b = rho * yk.dot(q)
         q += (a - b) * s
     return -q
 
@@ -74,42 +76,44 @@ def local_opt(f, x0, box, budget):
     if not box.encloses(x):
         raise ValueError("start point lies outside the box")
 
-    start = obj.total_evaluations
+    # the loop runs on 10- to 100-element vectors, where numpy's Python
+    # wrappers cost more than the arithmetic: read the bounds once and
+    # call ndarray methods and the clip ufunc itself
+    lows, highs = box.lows, box.highs
+    value, gradient = obj.value, obj.gradient
     limit = budget + 1
 
-    def used():
-        return obj.total_evaluations - start
+    y = value(x)
+    used = 1
+    if budget == 0 or not math.isfinite(y):
+        return LocalOptReport(x, y, used, False)
 
-    y = obj.value(x)
+    g = gradient(x)
+    used += 1
+    if not np.isfinite(g).all():
+        return LocalOptReport(x, y, used, False)
+
     converged = False
-    if budget == 0 or not np.isfinite(y):
-        return LocalOptReport(x, y, used(), False)
-
-    g = obj.gradient(x)
-    if not np.all(np.isfinite(g)):
-        return LocalOptReport(x, y, used(), False)
-
     memory = deque(maxlen=MEMORY)
     while True:
-        pg = x - box.clip(x - g)
-        if float(np.max(np.abs(pg))) < GRAD_TOL:
+        pg = x - _clip(x - g, lows, highs)
+        if abs(pg).max() < GRAD_TOL:
             converged = True
             break
 
         d = _lbfgs_direction(memory, g)
-        if float(np.dot(d, g)) >= 0.0:
+        if d.dot(g) >= 0.0:
             d = -g
 
         alpha = 1.0
         accepted = False
-        out_of_budget = False
         for _ in range(MAX_HALVINGS):
-            if used() >= limit:
-                out_of_budget = True
+            if used >= limit:
                 break
-            x_new = box.clip(x + alpha * d)
-            y_new = obj.value(x_new)
-            slope = float(np.dot(g, x_new - x))
+            x_new = _clip(x + alpha * d, lows, highs)
+            y_new = value(x_new)
+            used += 1
+            slope = g.dot(x_new - x)
             # require non-ascent even when projection spoils the slope
             if y_new == y_new and y_new <= y + ARMIJO_C * min(slope, 0.0):
                 accepted = True
@@ -123,18 +127,19 @@ def local_opt(f, x0, box, budget):
             x, y = x_new, y_new
             converged = True
             break
-        if used() >= limit:
+        if used >= limit:
             x, y = x_new, y_new
             break
-        g_new = obj.gradient(x_new)
-        if not np.all(np.isfinite(g_new)):
+        g_new = gradient(x_new)
+        used += 1
+        if not np.isfinite(g_new).all():
             x, y = x_new, y_new
             break
         s = x_new - x
         yk = g_new - g
-        sy = float(np.dot(s, yk))
-        if sy > CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(yk)):
+        sy = s.dot(yk)
+        if sy > CURVATURE_EPS * math.sqrt(s.dot(s)) * math.sqrt(yk.dot(yk)):
             memory.append((s, yk, 1.0 / sy))
         x, y, g = x_new, y_new, g_new
 
-    return LocalOptReport(x, y, used(), converged)
+    return LocalOptReport(x, y, used, converged)

@@ -299,7 +299,7 @@ def learn(leaf, children, f, config, rng, stats=None):
     stats.learn_invocations += 1
 
     hbar = _column_nanmean([obj.hessian_diagonal(c.x) for c in children])
-    if np.all(hbar == 0.0):
+    if (hbar == 0.0).all():
         stats.learn_zero_hessian += 1
 
     best = children[0]
@@ -311,13 +311,13 @@ def learn(leaf, children, f, config, rng, stats=None):
 
     root = _ascend(leaf)
     omega = root.box
-    delta = config.delta_fraction * float(np.min(bj.widths))
+    delta = config.delta_fraction * float(bj.widths.min())
     lows = np.maximum(omega.lows, xj - delta)
     highs = np.minimum(omega.highs, xj + delta)
-    grads = [obj.gradient(rng.uniform(lows, highs))
-             for _ in range(config.grad_samples)]
-    gbar = _column_nanmean(grads)
-    if not np.all(np.isfinite(gbar)):
+    # row i holds what the i-th of grad_samples single draws would give
+    points = rng.uniform(lows, highs, size=(config.grad_samples, omega.dims))
+    gbar = _column_nanmean([obj.gradient(p) for p in points])
+    if not np.isfinite(gbar).all():
         stats.learn_skipped += 1
         return None
 

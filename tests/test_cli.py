@@ -99,15 +99,19 @@ class TestSuiteCommand:
 
 
 class TestNonFiniteSummary:
-    def test_all_nan_objective_writes_null(self, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_all_nan_objective_writes_null(self, tmp_path, capsys):
         # log is NaN on the whole domain, so no sample is ever finite
         path = tmp_path / "logneg.txt"
         path.write_text("dims: 1\ndomain: [-2, -1] x 1\nlog(x0)\n")
         out = tmp_path / "r"
         main(["optimize", "--expr-file", str(path), "--steps", "3",
               "--out", str(out)])
+        capsys.readouterr()
         main(["suite", "--expr-file", str(path), "--steps", "3",
               "--seeds", "0,1", "--out", str(out / "suite")])
+        assert ("logneg-1d: 2 seed(s), final best inf +/- nan"
+                in capsys.readouterr().out.splitlines())
 
         def refuse(name):
             raise ValueError(f"{name} is not JSON")

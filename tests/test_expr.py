@@ -350,6 +350,54 @@ class TestCompileVectorFallback:
                 assert g == w or (math.isnan(g) and math.isnan(w))
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# the point kernels convert their input once; every sequence of numbers
+# must give the tree walk's value bit for bit
+INPUT_FORMS = {
+    "float64": lambda x: np.asarray(x, dtype=np.float64),
+    "float32": lambda x: np.asarray(x, dtype=np.float32),
+    "int_list": lambda x: [int(v) for v in np.floor(x)],
+    "tuple": lambda x: tuple(float(v) for v in x),
+}
+
+
+class TestKernelInputs:
+    @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+    def test_kernels_match_walk_bit_for_bit(self, form):
+        rng = np.random.default_rng(17)
+        convert = INPUT_FORMS[form]
+        for _ in range(150):
+            f = ex.with_dims(random_expression(rng, 3, 4, kinks=True), 3)
+            comps = ex.gradient(f).components
+            value, grad = ex.compile_function(f), ex.compile_vector(comps, 3)
+            x = convert(rng.uniform(-5.0, 5.0, size=3))
+            assert _bits([value(x)]) == _bits([ex.evaluate(f, x)])
+            assert _bits(grad(x)) == _bits(ex.evaluate(c, x) for c in comps)
+
+    @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+    def test_domain_error_falls_back_to_walk(self, form):
+        # math.log and math.sqrt raise here, where the walk gives NaN
+        f = ex.parse("log(x0) + sqrt(x1) * x2", 3)
+        comps = (f, ex.parse("x0 * x2", 3))
+        x = INPUT_FORMS[form]([-1.0, 4.0, 2.0])
+        assert math.isnan(ex.compile_function(f)(x))
+        got = ex.compile_vector(comps, 3)(x)
+        assert _bits(got) == _bits(ex.evaluate(c, x) for c in comps)
+        assert math.isnan(got[0]) and got[1] == -2.0
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0], [1, 2, 3, 4], np.ones((3, 1)),
+                                   np.ones((1, 3)), 1.0])
+    def test_wrong_shape_raises(self, x):
+        f = ex.parse("x0 + x1 * x2", 3)
+        with pytest.raises(ex.DimensionMismatch):
+            ex.compile_function(f)(x)
+        with pytest.raises(ex.DimensionMismatch):
+            ex.compile_vector((f, ex.var(0)), 3)(x)
+
+
 class TestReluNet:
     def test_single_unit(self):
         w = ex.ReluNetWeights(n=1, h=1, w1=[[1.0]], b1=[0.0], w2=[1.0], b2=0.0)

@@ -286,6 +286,23 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain([], [])
 
+    def test_split_builds_valid_read_only_boxes(self):
+        # split skips the constructor's checks, so its pieces must be
+        # boxes the constructor would accept as they are
+        box = BoxDomain([0.0, -1.0], [2.0, 3.0])
+        left, right = box.split(1)
+        assert left.highs.tolist() == [2.0, 1.0]
+        assert right.lows.tolist() == [0.0, 1.0]
+        assert left.closed_hi.tolist() == [True, False]
+        assert right.closed_hi.tolist() == [True, True]
+        for piece in (left, right):
+            assert piece == BoxDomain(piece.lows, piece.highs, piece.closed_hi)
+            for arr in (piece.lows, piece.highs, piece.closed_hi):
+                assert not arr.flags.writeable
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            BoxDomain([1e308], [1.7e308]).split(0)
+
     def test_clip_and_sample(self):
         box = BoxDomain.cube(-1.0, 1.0, 3)
         assert np.all(box.clip([5.0, -5.0, 0.5]) == [1.0, -1.0, 0.5])

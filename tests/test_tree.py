@@ -1,3 +1,5 @@
+import collections
+import importlib
 import math
 
 import numpy as np
@@ -452,6 +454,42 @@ class TestOptimize:
         learned = [c for c in res.root.children if c.is_learned]
         assert len(learned) <= 5
         assert res.stats.pruned_nodes > 0
+
+
+class TestCallPaths:
+    """Per-layer profiling wraps exactly these names (see
+    ``perfbench/tracing.py``), so a search must reach every bound, local
+    refinement, partition and evaluation through them."""
+
+    def test_search_calls_the_wrapped_names(self, monkeypatch):
+        tree_mod = importlib.import_module("treebound.tree")
+        calls = collections.Counter()
+
+        def count(target, name):
+            real = getattr(target, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, counted)
+
+        for name in ("local_opt", "lower_bound", "partition"):
+            count(tree_mod, name)
+        for name in ("value", "gradient", "hessian_diagonal"):
+            count(ex.CompiledObjective, name)
+        p = tb.make_levy(4)
+        res = tb.optimize(p.expression, p.box,
+                          tb.SearchConfig(step_budget=12, num_children=5,
+                                          seed=2))
+        assert (calls["value"] + calls["gradient"]
+                + calls["hessian_diagonal"]) == res.evaluations
+        assert calls["hessian_diagonal"] == 12 * 5
+        learned = res.stats.learn_nodes
+        assert learned > 0
+        assert calls["local_opt"] == 12 * 5 + learned
+        assert calls["lower_bound"] == 1 + 12 * 5 + learned  # 1: the root
+        assert calls["partition"] == 12
 
 
 class TestSearchConfig:
