@@ -8,6 +8,11 @@ versions it was recorded with, the best point as ``float.hex`` values,
 it.  ``tests/test_golden.py`` compares everything after the version line
 byte for byte.
 
+``kernels.sha256`` in the same directory pins the generated kernels: one
+SHA-256 per source text of the value, gradient, Hessian-diagonal and
+interval kernel of each problem in ``KERNEL_PROBLEMS``, so a change to
+code generation or to the operator rules shows up per kernel.
+
 A change that is meant to alter searches re-pins the files on purpose:
 
     PYTHONPATH=src python tests/golden.py
@@ -15,16 +20,21 @@ A change that is meant to alter searches re-pins the files on purpose:
 writes every golden file from the treebound on the path.
 """
 
+import hashlib
 import platform
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import treebound as tb
 from treebound import bench
 from treebound import expr as ex
+from treebound.interval import compile_interval
+
+from helpers import spy_on_codegen
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -59,6 +69,36 @@ CASES = {
 }
 
 
+KERNEL_FILE = GOLDEN_DIR / "kernels.sha256"
+KERNEL_PROBLEMS = {
+    **{f"{name}-{dims}d": (lambda name=name, dims=dims:
+                           bench.make_builtin(name, dims).expression)
+       for name in ("ackley", "levy", "michalewicz") for dims in (2, 10, 100)},
+    "relu-10x16": lambda: _relu_net()[0],
+}
+KERNELS = ("value", "gradient", "hessian", "interval")
+
+
+def kernel_hashes(name):
+    """``{"<problem> <kernel>": sha256 of its source}`` for the four
+    kernels of problem ``name``, captured as they are compiled."""
+    f = KERNEL_PROBLEMS[name]()
+    with pytest.MonkeyPatch.context() as mp:
+        sources = spy_on_codegen(mp)
+        ex.compile_function(f)
+        ex.compile_vector(ex.gradient(f).components, f.dims)
+        ex.compile_vector(ex.hessian_diagonal(f).components, f.dims)
+        compile_interval(f)
+    return {f"{name} {kernel}": hashlib.sha256(src.encode()).hexdigest()
+            for kernel, src in zip(KERNELS, sources, strict=True)}
+
+
+def read_kernel_hashes():
+    pairs = (line.split("  ", 1)
+             for line in KERNEL_FILE.read_text().splitlines())
+    return {label: digest for digest, label in pairs}
+
+
 def version_line():
     return (f"# recorded with Python {platform.python_version()}, "
             f"numpy {np.__version__}\n")
@@ -85,6 +125,12 @@ def main():
     for name in CASES:
         path_of(name).write_bytes((version_line() + render(name)).encode())
         print(f"wrote {path_of(name)}")
+    hashes = {}
+    for name in KERNEL_PROBLEMS:
+        hashes.update(kernel_hashes(name))
+    KERNEL_FILE.write_text("".join(f"{digest}  {label}\n"
+                                   for label, digest in hashes.items()))
+    print(f"wrote {KERNEL_FILE}")
     return 0
 
 

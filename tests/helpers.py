@@ -105,6 +105,18 @@ def within_enclosure(value, interval):
     return bool(lo_ok and hi_ok)
 
 
+def spy_on_codegen(monkeypatch):
+    """List that receives the source text of every generated kernel."""
+    sources = []
+
+    def spy(src, filename, mode):
+        sources.append(src)
+        return compile(src, filename, mode)
+
+    monkeypatch.setattr(ex, "compile", spy, raising=False)
+    return sources
+
+
 def reference_interval(f, box):
     """(lo, hi, poisoned) of ``f`` over ``box`` by a node-by-node walk
     over the interval rules the compiled kernel calls, without its CSE."""

@@ -14,6 +14,7 @@ from helpers import (
     random_expression,
     reference_derivative,
     second_central_diff,
+    spy_on_codegen,
 )
 
 
@@ -213,18 +214,6 @@ class TestDifferentiate:
                 assert abs(sym - fd) / max(1.0, abs(sym)) < 1e-5
 
 
-def _spy_on_codegen(monkeypatch):
-    """List that receives the source text of every generated kernel."""
-    sources = []
-
-    def spy(src, filename, mode):
-        sources.append(src)
-        return compile(src, filename, mode)
-
-    monkeypatch.setattr(ex, "compile", spy, raising=False)
-    return sources
-
-
 def _assert_matches_reference(f, sources):
     """Every gradient and Hessian-diagonal component equals the dense
     reference walk's, constants bit for bit, and compiles to the same
@@ -260,7 +249,7 @@ class TestSparseDifferentiation:
     """The sparse walk against the dense per-variable reference."""
 
     def test_fuzz_corpus(self, monkeypatch):
-        sources = _spy_on_codegen(monkeypatch)
+        sources = spy_on_codegen(monkeypatch)
         rng = np.random.default_rng(31)
         for kinks in (True, False):
             for _ in range(150):
@@ -268,14 +257,14 @@ class TestSparseDifferentiation:
                 _assert_matches_reference(f, sources)
 
     def test_nan_inf_and_zero_constants(self, monkeypatch):
-        sources = _spy_on_codegen(monkeypatch)
+        sources = spy_on_codegen(monkeypatch)
         rng = np.random.default_rng(37)
         for c in (math.nan, math.inf, -math.inf, 0.0, -0.0):
             for _ in range(30):
                 _assert_matches_reference(_with_constant(rng, c), sources)
 
     def test_literal_zero_divisor_and_kinks(self, monkeypatch):
-        sources = _spy_on_codegen(monkeypatch)
+        sources = spy_on_codegen(monkeypatch)
         for text in ("x0 / 0", "sin(x1) / 0 + x0 * x2", "(x0 * x1) / (0 * x2)",
                      "abs(x0 - x1)", "max(x0, 2*x0) + min(3*x1, x1)",
                      "min(3*x0, x1) * abs(x1)", "max(abs(x0), min(x1, x2))",
@@ -283,7 +272,7 @@ class TestSparseDifferentiation:
             _assert_matches_reference(ex.parse(text, 3), sources)
 
     def test_100d_builtins(self, monkeypatch):
-        sources = _spy_on_codegen(monkeypatch)
+        sources = spy_on_codegen(monkeypatch)
         for name in ("ackley", "levy", "michalewicz"):
             _assert_matches_reference(make_builtin(name, 100).expression,
                                       sources)
@@ -291,7 +280,7 @@ class TestSparseDifferentiation:
     def test_long_chain_is_iterative(self, monkeypatch):
         # affine steps over a nonlinear base, so both derivatives walk all
         # 50,000 levels but their kernels stay small enough to compile fast
-        sources = _spy_on_codegen(monkeypatch)
+        sources = spy_on_codegen(monkeypatch)
         x1 = ex.var(1)
         steps = [lambda e: ex.add(e, x1), lambda e: ex.mul(e, ex.const(0.5)),
                  lambda e: ex.sub(ex.const(2.0), e), ex.neg]
