@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expr as ex
 from .interval import BoxDomain
-from .tree import SearchConfig, optimize
+from .tree import SearchConfig, _default_children, optimize
 
 __all__ = [
     "BenchmarkProblem",
@@ -147,9 +147,9 @@ def table_defaults(name, dims, base=None):
     dimension grows, and a tighter local budget (20) for the shallow
     Michalewicz class."""
     cfg = base if base is not None else SearchConfig()
-    cn = 10 if dims <= 50 else (20 if dims <= 100 else 30)
     lo = 20 if (name == "michalewicz" and dims <= 50) else 50
-    return replace(cfg, num_children=cn, local_opt_budget=lo)
+    return replace(cfg, num_children=_default_children(dims),
+                   local_opt_budget=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +193,6 @@ def write_trace_csv(path, trace):
             fh.write(f"{r.step},{r.evaluations},{r.wall_ms!r},{r.best_y!r}\n")
 
 
-def _config_dict(config):
-    return asdict(config)
-
-
 def _write_json(path, payload):
     # a non-finite float would be written as Infinity or NaN, which is not
     # JSON: writers map those to None first, and this refuses any left over
@@ -220,7 +216,7 @@ def _summary(problem, result):
         "evaluations": result.evaluations,
         "termination_reason": result.termination_reason,
         "elapsed_ms": result.elapsed_ms,
-        "config": _config_dict(result.config),
+        "config": asdict(result.config),
         "stats": asdict(result.stats),
     }
 
@@ -272,7 +268,7 @@ def run_suite(problems, config, seeds, out_dir, jobs=1):
             "mean": [_finite_or_none(v) for v in curve.mean],
             "std": [_finite_or_none(v) for v in curve.std],
             "std_convention": "population",
-            "config": _config_dict(resolved),
+            "config": asdict(resolved),
         })
         curves[problem.label] = curve
     return curves

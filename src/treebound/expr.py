@@ -18,13 +18,24 @@ value all produce NaN.  ``compile_function`` turns a tree into a plain
 Python function (with common-subexpression elimination) that is an
 order of magnitude faster than the tree walk and falls back to it
 whenever a domain error occurs.
+
+Each operator kind is defined once, by its entry in the table ``_OPS``:
+its point rule, its interval rule over float endpoints, its point-kernel
+snippet, its derivative rule, and its name and arity in the parser's
+grammar.  The evaluators, ``differentiate``, both kernel generators
+(here and in ``interval.py``) and the parser read that table, so adding
+an operator means adding one ``_OPS`` entry; only an operator written as
+a symbol also needs its form in ``unparse``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,13 +81,7 @@ __all__ = [
 
 _NAN = float("nan")
 _INF = math.inf
-
-_UNARY = frozenset({"neg", "sin", "cos", "exp", "log", "sqrt", "abs", "step"})
-_BINARY = frozenset({"add", "sub", "mul", "div", "max", "min"})
-# functions accepted by the parser, with their arity
-_FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1,
-              "max": 2, "min": 2}
-_KINKS = frozenset({"abs", "max", "min"})
+_TWO_PI = 2.0 * math.pi
 
 
 class ExpressionError(ValueError):
@@ -265,40 +270,40 @@ def pow_int(base, k):
     return Expression("pow", (base,), payload=k)
 
 
-def _fold_unary(kind, a, fn):
+def _fold_unary(kind, a):
     if a.kind == "const":
-        v = fn(a.payload)
+        v = _OPS[kind].point(a.payload)
         if math.isfinite(v):
             return const(v)
     return Expression(kind, (a,))
 
 
 def sin(a):
-    return _fold_unary("sin", a, _ref_sin)
+    return _fold_unary("sin", a)
 
 
 def cos(a):
-    return _fold_unary("cos", a, _ref_cos)
+    return _fold_unary("cos", a)
 
 
 def exp(a):
-    return _fold_unary("exp", a, _ref_exp)
+    return _fold_unary("exp", a)
 
 
 def log(a):
-    return _fold_unary("log", a, _ref_log)
+    return _fold_unary("log", a)
 
 
 def sqrt(a):
-    return _fold_unary("sqrt", a, _ref_sqrt)
+    return _fold_unary("sqrt", a)
 
 
 def absolute(a):
-    return _fold_unary("abs", a, abs)
+    return _fold_unary("abs", a)
 
 
 def _step(a):
-    return _fold_unary("step", a, _ref_step)
+    return _fold_unary("step", a)
 
 
 def maximum(a, b):
@@ -377,11 +382,11 @@ def structurally_equal(a, b):
 
 
 def _has_kinks(root):
-    return any(n.kind in _KINKS for n in _postorder([root]))
+    return any(_OPS[n.kind].kink for n in _postorder([root]) if n.args)
 
 
 # ---------------------------------------------------------------------------
-# reference point evaluation (defines the NaN semantics)
+# point rules (define the NaN semantics)
 
 def _ref_div(a, b):
     if b == 0.0:
@@ -449,6 +454,241 @@ def _ref_step(a):
     return 1.0 if a >= 0.0 else 0.0
 
 
+# ---------------------------------------------------------------------------
+# interval rules: each takes the (lo, hi) endpoints of its operands as
+# floats (plus the exponent for pow) and returns the result's (lo, hi)
+
+class _Poison(Exception):
+    """Raised by a rule whose real image is empty.  Every operator with a
+    poisoned operand is poisoned too, so the whole enclosure is."""
+
+
+def _mk(lo, hi):
+    if math.isnan(lo) or math.isnan(hi):
+        raise _Poison
+    if lo > hi:
+        lo, hi = hi, lo
+    return lo, hi
+
+
+def _iadd(alo, ahi, blo, bhi):
+    return _mk(alo + blo, ahi + bhi)
+
+
+def _isub(alo, ahi, blo, bhi):
+    return _mk(alo - bhi, ahi - blo)
+
+
+def _ineg(alo, ahi):
+    return -ahi, -alo
+
+
+def _prod(p, q):
+    # 0 * inf is 0 under the interval convention
+    if p == 0.0 or q == 0.0:
+        return 0.0
+    return p * q
+
+
+def _imul(alo, ahi, blo, bhi):
+    c = (_prod(alo, blo), _prod(alo, bhi), _prod(ahi, blo), _prod(ahi, bhi))
+    return _mk(min(c), max(c))
+
+
+def _idiv(alo, ahi, blo, bhi):
+    if blo <= 0.0 <= bhi:
+        # divisor spans zero: unbounded, but not invalid
+        return -_INF, _INF
+    return _imul(alo, ahi, *_mk(1.0 / bhi, 1.0 / blo))
+
+
+def _ipow(alo, ahi, k):
+    if k == 0:
+        return 1.0, 1.0
+    if k < 0:
+        return _idiv(1.0, 1.0, *_ipow(alo, ahi, -k))
+    plo, phi = _ref_pow(alo, k), _ref_pow(ahi, k)
+    if k % 2 == 1:
+        return _mk(plo, phi)
+    if alo >= 0.0:
+        return _mk(plo, phi)
+    if ahi <= 0.0:
+        return _mk(phi, plo)
+    return _mk(0.0, max(plo, phi))
+
+
+def _crit_inside(lo, hi, c):
+    """Does some c + 2*pi*k (k integer) fall inside [lo, hi]?
+
+    Widened by a few ulps so near-misses err toward the loose (sound)
+    side.
+    """
+    k = math.floor((lo - c) / _TWO_PI)
+    for kk in (k, k + 1, k + 2):
+        t = c + _TWO_PI * kk
+        tol = 4e-16 * (1.0 + abs(t))
+        if lo - tol <= t <= hi + tol:
+            return True
+    return False
+
+
+def _isin(alo, ahi):
+    if ahi - alo >= _TWO_PI:
+        return -1.0, 1.0
+    if not (math.isfinite(alo) and math.isfinite(ahi)):
+        # degenerate infinite endpoint: no real argument value exists
+        raise _Poison
+    slo, shi = math.sin(alo), math.sin(ahi)
+    lo, hi = min(slo, shi), max(slo, shi)
+    if _crit_inside(alo, ahi, 0.5 * math.pi):
+        hi = 1.0
+    if _crit_inside(alo, ahi, -0.5 * math.pi):
+        lo = -1.0
+    return lo, hi
+
+
+def _icos(alo, ahi):
+    if ahi - alo >= _TWO_PI:
+        return -1.0, 1.0
+    if not (math.isfinite(alo) and math.isfinite(ahi)):
+        raise _Poison
+    clo, chi = math.cos(alo), math.cos(ahi)
+    lo, hi = min(clo, chi), max(clo, chi)
+    if _crit_inside(alo, ahi, 0.0):
+        hi = 1.0
+    if _crit_inside(alo, ahi, math.pi):
+        lo = -1.0
+    return lo, hi
+
+
+def _iexp(alo, ahi):
+    return _ref_exp(alo), _ref_exp(ahi)
+
+
+def _ilog(alo, ahi):
+    if ahi <= 0.0:
+        raise _Poison
+    hi = math.log(ahi)
+    if alo <= 0.0:
+        return -_INF, hi
+    return math.log(alo), hi
+
+
+def _isqrt(alo, ahi):
+    if ahi < 0.0:
+        raise _Poison
+    hi = math.sqrt(ahi)
+    if alo < 0.0:
+        return 0.0, hi
+    return math.sqrt(alo), hi
+
+
+def _iabs(alo, ahi):
+    if alo >= 0.0:
+        return alo, ahi
+    if ahi <= 0.0:
+        return -ahi, -alo
+    return 0.0, max(-alo, ahi)
+
+
+def _imax(alo, ahi, blo, bhi):
+    return max(alo, blo), max(ahi, bhi)
+
+
+def _imin(alo, ahi, blo, bhi):
+    return min(alo, blo), min(ahi, bhi)
+
+
+def _istep(alo, ahi):
+    if ahi < 0.0:
+        return 0.0, 0.0
+    if alo >= 0.0:
+        return 1.0, 1.0
+    return 0.0, 1.0
+
+
+# ---------------------------------------------------------------------------
+# the operator table
+
+class _Op(NamedTuple):
+    """Everything the library knows about one operator kind.
+
+    ``point``, ``interval`` and ``kernel`` take the operands in order,
+    then the node's payload if it has one (pow's exponent).  ``point``
+    maps float values to a float, NaN on a domain error.  ``interval``
+    maps float ``(lo, hi)`` endpoints to the result's ``(lo, hi)`` and
+    raises ``_Poison`` when the real image is empty.  ``kernel`` maps the
+    operands' names in generated code to the point kernel's expression,
+    which may raise on a domain error.  ``derive(u, v, du, dv, k)``
+    builds the derivative from the operands, their derivatives (``v`` and
+    ``dv`` are None for a unary kind) and the payload.  ``call`` builds
+    the node for ``kind(...)`` in the parser's grammar, with ``arity``
+    arguments; it is None for operators written as symbols and for
+    ``step``.  ``kink`` marks the kinds differentiated by the one-sided
+    convention of the module docstring.
+    """
+
+    arity: int
+    point: Callable
+    interval: Callable
+    kernel: Callable
+    derive: Callable
+    call: Callable | None = None
+    kink: bool = False
+
+
+def _pow_code(a, k):
+    # parenthesized base: unary minus binds looser than **
+    return f"{a} * {a}" if k == 2 else f"({a}) ** {k}"
+
+
+def _d_select(sel, du, dv):
+    """Derivative of max or min: ``du`` where ``sel`` is 1, else ``dv``."""
+    return add(mul(sel, du), mul(sub(const(1.0), sel), dv))
+
+
+_OPS = {
+    "add": _Op(2, operator.add, _iadd, "{} + {}".format,
+               lambda u, v, du, dv, k: add(du, dv)),
+    "sub": _Op(2, operator.sub, _isub, "{} - ({})".format,
+               lambda u, v, du, dv, k: sub(du, dv)),
+    "mul": _Op(2, operator.mul, _imul, "{} * {}".format,
+               lambda u, v, du, dv, k: add(mul(du, v), mul(u, dv))),
+    "div": _Op(2, _ref_div, _idiv, "{} / ({})".format,
+               lambda u, v, du, dv, k: div(sub(mul(du, v), mul(u, dv)),
+                                           pow_int(v, 2))),
+    "neg": _Op(1, operator.neg, _ineg, "-({})".format,
+               lambda u, v, du, dv, k: neg(du)),
+    "pow": _Op(1, _ref_pow, _ipow, _pow_code,
+               lambda u, v, du, dv, k: mul(mul(const(float(k)),
+                                               pow_int(u, k - 1)), du)),
+    "sin": _Op(1, _ref_sin, _isin, "sin({})".format,
+               lambda u, v, du, dv, k: mul(cos(u), du), sin),
+    "cos": _Op(1, _ref_cos, _icos, "cos({})".format,
+               lambda u, v, du, dv, k: neg(mul(sin(u), du)), cos),
+    "exp": _Op(1, _ref_exp, _iexp, "exp({})".format,
+               lambda u, v, du, dv, k: mul(exp(u), du), exp),
+    "log": _Op(1, _ref_log, _ilog, "log({})".format,
+               lambda u, v, du, dv, k: div(du, u), log),
+    "sqrt": _Op(1, _ref_sqrt, _isqrt, "sqrt({})".format,
+                lambda u, v, du, dv, k: div(du, mul(const(2.0), sqrt(u))),
+                sqrt),
+    # sign(u) du, with sign(0) = 0
+    "abs": _Op(1, abs, _iabs, "abs({})".format,
+               lambda u, v, du, dv, k: mul(sub(_step(u), _step(neg(u))), du),
+               absolute, kink=True),
+    # step(u - v) is 1 on the first argument's branch, ties included
+    "max": _Op(2, _fmax, _imax, "_fmax({}, {})".format,
+               lambda u, v, du, dv, k: _d_select(_step(sub(u, v)), du, dv),
+               maximum, kink=True),
+    "min": _Op(2, _fmin, _imin, "_fmin({}, {})".format,
+               lambda u, v, du, dv, k: _d_select(_step(sub(v, u)), du, dv),
+               minimum, kink=True),
+    "step": _Op(1, _ref_step, _istep, "_step({})".format,
+                lambda u, v, du, dv, k: const(0.0)),
+}
+
+
 def evaluate(f, x):
     """Evaluate ``f`` at the point ``x`` (len(x) must equal f.dims)."""
     xs = [float(v) for v in x]
@@ -464,45 +704,15 @@ def _evaluate_all(roots, xs):
     subexpressions shared between roots are evaluated once."""
     vals = {}
     for node in _postorder(roots):
-        k = node.kind
-        if k == "const":
+        if node.args:
+            operands = [vals[a] for a in node.args]
+            if node.payload is not None:
+                operands.append(node.payload)
+            v = _OPS[node.kind].point(*operands)
+        elif node.kind == "const":
             v = node.payload
-        elif k == "var":
-            v = xs[node.payload]
         else:
-            a = vals[node.args[0]]
-            if k == "add":
-                v = a + vals[node.args[1]]
-            elif k == "sub":
-                v = a - vals[node.args[1]]
-            elif k == "mul":
-                v = a * vals[node.args[1]]
-            elif k == "div":
-                v = _ref_div(a, vals[node.args[1]])
-            elif k == "neg":
-                v = -a
-            elif k == "pow":
-                v = _ref_pow(a, node.payload)
-            elif k == "sin":
-                v = _ref_sin(a)
-            elif k == "cos":
-                v = _ref_cos(a)
-            elif k == "exp":
-                v = _ref_exp(a)
-            elif k == "log":
-                v = _ref_log(a)
-            elif k == "sqrt":
-                v = _ref_sqrt(a)
-            elif k == "abs":
-                v = abs(a)
-            elif k == "max":
-                v = _fmax(a, vals[node.args[1]])
-            elif k == "min":
-                v = _fmin(a, vals[node.args[1]])
-            elif k == "step":
-                v = _ref_step(a)
-            else:
-                raise ExpressionError(f"unknown node kind {k!r}")
+            v = xs[node.payload]
         vals[node] = v
     return tuple(float(vals[r]) for r in roots)
 
@@ -543,51 +753,18 @@ def _derive(root, d, memo):
             stack.append((node, True))
             stack.extend((child, False) for child in node.args)
             continue
-        k = node.kind
-        if k == "const" or k == "step":
-            r = const(0.0)
-        elif k == "var":
-            r = const(0.0 if wrt is None else 1.0)
-        else:
+        if node.args:
             u = node.args[0]
             du = memo[(u, d if u.mask & bit else None)]
+            v = dv = None
             if len(node.args) == 2:
                 v = node.args[1]
                 dv = memo[(v, d if v.mask & bit else None)]
-            if k == "add":
-                r = add(du, dv)
-            elif k == "sub":
-                r = sub(du, dv)
-            elif k == "mul":
-                r = add(mul(du, v), mul(u, dv))
-            elif k == "div":
-                r = div(sub(mul(du, v), mul(u, dv)), pow_int(v, 2))
-            elif k == "neg":
-                r = neg(du)
-            elif k == "pow":
-                kk = node.payload
-                r = mul(mul(const(float(kk)), pow_int(u, kk - 1)), du)
-            elif k == "sin":
-                r = mul(cos(u), du)
-            elif k == "cos":
-                r = neg(mul(sin(u), du))
-            elif k == "exp":
-                r = mul(exp(u), du)
-            elif k == "log":
-                r = div(du, u)
-            elif k == "sqrt":
-                r = div(du, mul(const(2.0), sqrt(u)))
-            elif k == "abs":
-                # sign(u) with sign(0) = 0
-                r = mul(sub(_step(u), _step(neg(u))), du)
-            elif k == "max":
-                sel = _step(sub(u, v))  # 1 on the first-argument branch
-                r = add(mul(sel, du), mul(sub(const(1.0), sel), dv))
-            elif k == "min":
-                sel = _step(sub(v, u))
-                r = add(mul(sel, du), mul(sub(const(1.0), sel), dv))
-            else:
-                raise ExpressionError(f"unknown node kind {k!r}")
+            r = _OPS[node.kind].derive(u, v, du, dv, node.payload)
+        elif node.kind == "const":
+            r = const(0.0)
+        else:
+            r = const(0.0 if wrt is None else 1.0)
         memo[(node, wrt)] = r
     return memo[(root, d if root.mask & bit else None)]
 
@@ -806,22 +983,18 @@ class _Parser:
                         f"variable x{idx} out of range for {self.dims} "
                         f"dimension(s)", line, col)
                 return var(idx)
-            if text in _FUNCTIONS:
+            op = _OPS.get(text)
+            if op is not None and op.call is not None:
                 self.expect_op("(")
                 args = [self.expression()]
                 if self.peek()[:2] == ("op", ","):
                     self.advance()
                     args.append(self.expression())
                 self.expect_op(")")
-                want = _FUNCTIONS[text]
-                if len(args) != want:
-                    raise ParseError(
-                        f"{text} expects {want} argument(s), got {len(args)}",
-                        line, col)
-                builder = {"sin": sin, "cos": cos, "exp": exp, "log": log,
-                           "sqrt": sqrt, "abs": absolute,
-                           "max": maximum, "min": minimum}[text]
-                return builder(*args)
+                if len(args) != op.arity:
+                    raise ParseError(f"{text} expects {op.arity} argument(s), "
+                                     f"got {len(args)}", line, col)
+                return op.call(*args)
             raise ParseError(f"unknown function {text!r}", line, col)
         if kind == "op" and text == "(":
             self.advance()
@@ -911,31 +1084,9 @@ class _PointCode:
 
     @staticmethod
     def op(k, payload, args, temp):
-        a = args[0]
-        if k == "add":
-            code = f"{a} + {args[1]}"
-        elif k == "sub":
-            code = f"{a} - ({args[1]})"
-        elif k == "mul":
-            code = f"{a} * {args[1]}"
-        elif k == "div":
-            code = f"{a} / ({args[1]})"
-        elif k == "neg":
-            code = f"-({a})"
-        elif k == "pow":
-            # parenthesized base: unary minus binds looser than **
-            code = f"{a} * {a}" if payload == 2 else f"({a}) ** {payload}"
-        elif k == "abs":
-            code = f"abs({a})"
-        elif k == "max":
-            code = f"_fmax({a}, {args[1]})"
-        elif k == "min":
-            code = f"_fmin({a}, {args[1]})"
-        elif k == "step":
-            code = f"_step({a})"
-        else:
-            code = f"{k}({a})"
-        return temp, [f"{temp} = {code}"]
+        if payload is not None:
+            args += (payload,)
+        return temp, [f"{temp} = {_OPS[k].kernel(*args)}"]
 
     @staticmethod
     def result(names):

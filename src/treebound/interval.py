@@ -6,9 +6,10 @@ value over the box (sound, not necessarily tight).  Enclosures are
 computed with ordinary double arithmetic; callers should allow an
 outward slack of ``1e-12 * (1 + |bound|)`` when asserting exactness.
 
-Each operator has one interval rule here, a function over the float
-endpoints of its operands.  ``compile_interval`` turns an expression into
-a straight-line kernel that calls those rules, using the CSE and node
+Each operator's interval rule, a function over the float endpoints of
+its operands, is part of its entry in the operator table ``expr._OPS``,
+next to its point rule.  ``compile_interval`` turns an expression into a
+straight-line kernel that calls those rules, using the CSE and node
 ordering of the point kernels (``expr._codegen``).  A
 ``CompiledObjective`` compiles its kernel on the first bound and keeps
 it, so ``eval_interval`` and ``lower_bound`` accept either an Expression
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import CompiledObjective, DimensionMismatch, _codegen
+from .expr import _OPS, CompiledObjective, DimensionMismatch, _codegen, _Poison
 
 __all__ = [
     "Interval",
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-_TWO_PI = 2.0 * math.pi
 LOWER_BOUND_CLAMP = 1e12
 _WIDTH_FLOOR = 1e-300
 
@@ -84,179 +84,6 @@ class Interval:
 
 
 _POISON = Interval.poisoned()
-
-
-class _Poison(Exception):
-    """Raised by a rule whose real image is empty.  Every operator with a
-    poisoned operand is poisoned too, so the whole enclosure is."""
-
-
-# Interval rules: each takes the (lo, hi) endpoints of its operands as
-# floats (plus the exponent for pow) and returns the result's (lo, hi).
-
-def _mk(lo, hi):
-    if math.isnan(lo) or math.isnan(hi):
-        raise _Poison
-    if lo > hi:
-        lo, hi = hi, lo
-    return lo, hi
-
-
-def _iadd(alo, ahi, blo, bhi):
-    return _mk(alo + blo, ahi + bhi)
-
-
-def _isub(alo, ahi, blo, bhi):
-    return _mk(alo - bhi, ahi - blo)
-
-
-def _ineg(alo, ahi):
-    return -ahi, -alo
-
-
-def _prod(p, q):
-    # 0 * inf is 0 under the interval convention
-    if p == 0.0 or q == 0.0:
-        return 0.0
-    return p * q
-
-
-def _imul(alo, ahi, blo, bhi):
-    c = (_prod(alo, blo), _prod(alo, bhi), _prod(ahi, blo), _prod(ahi, bhi))
-    return _mk(min(c), max(c))
-
-
-def _idiv(alo, ahi, blo, bhi):
-    if blo <= 0.0 <= bhi:
-        # divisor spans zero: unbounded, but not invalid
-        return -_INF, _INF
-    return _imul(alo, ahi, *_mk(1.0 / bhi, 1.0 / blo))
-
-
-def _safe_pow(v, k):
-    try:
-        return v ** k
-    except OverflowError:
-        return -_INF if (v < 0.0 and k % 2) else _INF
-
-
-def _ipow(alo, ahi, k):
-    if k == 0:
-        return 1.0, 1.0
-    if k < 0:
-        return _idiv(1.0, 1.0, *_ipow(alo, ahi, -k))
-    plo, phi = _safe_pow(alo, k), _safe_pow(ahi, k)
-    if k % 2 == 1:
-        return _mk(plo, phi)
-    if alo >= 0.0:
-        return _mk(plo, phi)
-    if ahi <= 0.0:
-        return _mk(phi, plo)
-    return _mk(0.0, max(plo, phi))
-
-
-def _crit_inside(lo, hi, c):
-    """Does some c + 2*pi*k (k integer) fall inside [lo, hi]?
-
-    Widened by a few ulps so near-misses err toward the loose (sound)
-    side.
-    """
-    k = math.floor((lo - c) / _TWO_PI)
-    for kk in (k, k + 1, k + 2):
-        t = c + _TWO_PI * kk
-        tol = 4e-16 * (1.0 + abs(t))
-        if lo - tol <= t <= hi + tol:
-            return True
-    return False
-
-
-def _isin(alo, ahi):
-    if ahi - alo >= _TWO_PI:
-        return -1.0, 1.0
-    if not (math.isfinite(alo) and math.isfinite(ahi)):
-        # degenerate infinite endpoint: no real argument value exists
-        raise _Poison
-    slo, shi = math.sin(alo), math.sin(ahi)
-    lo, hi = min(slo, shi), max(slo, shi)
-    if _crit_inside(alo, ahi, 0.5 * math.pi):
-        hi = 1.0
-    if _crit_inside(alo, ahi, -0.5 * math.pi):
-        lo = -1.0
-    return lo, hi
-
-
-def _icos(alo, ahi):
-    if ahi - alo >= _TWO_PI:
-        return -1.0, 1.0
-    if not (math.isfinite(alo) and math.isfinite(ahi)):
-        raise _Poison
-    clo, chi = math.cos(alo), math.cos(ahi)
-    lo, hi = min(clo, chi), max(clo, chi)
-    if _crit_inside(alo, ahi, 0.0):
-        hi = 1.0
-    if _crit_inside(alo, ahi, math.pi):
-        lo = -1.0
-    return lo, hi
-
-
-def _safe_exp(v):
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return _INF
-
-
-def _iexp(alo, ahi):
-    return _safe_exp(alo), _safe_exp(ahi)
-
-
-def _ilog(alo, ahi):
-    if ahi <= 0.0:
-        raise _Poison
-    hi = math.log(ahi)
-    if alo <= 0.0:
-        return -_INF, hi
-    return math.log(alo), hi
-
-
-def _isqrt(alo, ahi):
-    if ahi < 0.0:
-        raise _Poison
-    hi = math.sqrt(ahi)
-    if alo < 0.0:
-        return 0.0, hi
-    return math.sqrt(alo), hi
-
-
-def _iabs(alo, ahi):
-    if alo >= 0.0:
-        return alo, ahi
-    if ahi <= 0.0:
-        return -ahi, -alo
-    return 0.0, max(-alo, ahi)
-
-
-def _imax(alo, ahi, blo, bhi):
-    return max(alo, blo), max(ahi, bhi)
-
-
-def _imin(alo, ahi, blo, bhi):
-    return min(alo, blo), min(ahi, bhi)
-
-
-def _istep(alo, ahi):
-    if ahi < 0.0:
-        return 0.0, 0.0
-    if alo >= 0.0:
-        return 1.0, 1.0
-    return 0.0, 1.0
-
-
-_RULES = {
-    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg,
-    "pow": _ipow, "sin": _isin, "cos": _icos, "exp": _iexp, "log": _ilog,
-    "sqrt": _isqrt, "abs": _iabs, "max": _imax, "min": _imin, "step": _istep,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +174,9 @@ class BoxDomain:
         return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
 
     def sample(self, rng):
-        return rng.uniform(self.lows, self.highs)
+        # the draw of rng.uniform(lows, highs), without its per-call checks
+        lows = self.lows
+        return lows + (self.highs - lows) * rng.random(lows.size)
 
     def split(self, d):
         """Bisect dimension ``d`` at its midpoint; the lower piece gets an
@@ -395,12 +224,11 @@ def log_volume(box):
     return float(np.log(np.maximum(box.widths, _WIDTH_FLOOR)).sum())
 
 
-def partition(box, k, rng=None):
+def partition(box, k):
     """Split ``box`` into ``k`` interior-disjoint boxes covering it.
 
     Recursive bisection: repeatedly split the largest-volume piece at
-    the midpoint of its widest dimension.  Deterministic; the ``rng``
-    argument is accepted for interface symmetry and unused.
+    the midpoint of its widest dimension.  Deterministic.
     """
     k = int(k)
     if k < 1:
@@ -424,7 +252,7 @@ class _IntervalCode:
 
     params = "lo, hi"
     namespace = {"inf": _INF, "_Poison": _Poison,
-                 **{f"_{k}": rule for k, rule in _RULES.items()}}
+                 **{f"_{k}": op.interval for k, op in _OPS.items()}}
 
     @staticmethod
     def const(c):
@@ -440,10 +268,10 @@ class _IntervalCode:
 
     @staticmethod
     def op(k, payload, args, temp):
-        if k not in _RULES:
+        if k not in _OPS:
             raise ValueError(f"unknown node kind {k!r}")
         operands = [end for pair in args for end in pair]
-        if k == "pow":
+        if payload is not None:
             operands.append(repr(payload))
         return ((f"{temp}l", f"{temp}h"),
                 [f"{temp}l, {temp}h = _{k}({', '.join(operands)})"])

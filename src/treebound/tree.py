@@ -84,6 +84,11 @@ class TreeNode:
                 f"children={len(self.children)})")
 
 
+def _default_children(dims):
+    """Children per expansion: 10 up to 50 dims, 20 up to 100, else 30."""
+    return 10 if dims <= 50 else (20 if dims <= 100 else 30)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """All search hyperparameters.
@@ -135,8 +140,7 @@ class SearchConfig:
         self.validate()
         cfg = self
         if cfg.num_children is None:
-            cn = 10 if dims <= 50 else (20 if dims <= 100 else 30)
-            cfg = replace(cfg, num_children=cn)
+            cfg = replace(cfg, num_children=_default_children(dims))
         if cfg.grad_samples is None:
             cfg = replace(cfg, grad_samples=dims + 1)
         if (cfg.step_budget is None and cfg.eval_budget is None
@@ -230,7 +234,7 @@ def expand(leaf, f, config, rng):
     compiled on every call; repeated callers should pass
     ``as_objective(f)``."""
     obj = as_objective(f)
-    boxes = partition(leaf.box, config.num_children, rng)
+    boxes = partition(leaf.box, config.num_children)
     children = []
     for sub in boxes:
         x0 = sub.sample(rng)

@@ -17,7 +17,7 @@ import numpy as np
 
 from treebound import BoxDomain
 from treebound import expr as ex
-from treebound.interval import _RULES, _Poison, _mk
+from treebound.expr import _OPS, _Poison, _mk
 
 # operations used when drawing random expressions; kink ops are added
 # only when requested so the smooth generator stays differentiable
@@ -45,6 +45,23 @@ def random_expression(rng, dims, depth, kinks=False):
     build = {"add": ex.add, "sub": ex.sub, "mul": ex.mul, "div": ex.div,
              "max": ex.maximum, "min": ex.minimum}[op]
     return build(a, b)
+
+
+# with x0..x2 at signed zeros or on each other, these hit max/min ties and
+# the domain errors of log, sqrt and division
+_EDGE_SOURCES = ["max(x0, x1) - min(x1, x0)", "max(x0, -x0) * min(-x1, x1)",
+                 "abs(x0) + abs(x1 - x2)", "log(x0) + x1", "sqrt(x1) * x2",
+                 "x2 / x0", "x1 / (x0 - x2)", "x0^-1", "log(x1 * x2)"]
+
+
+def edge_expressions():
+    """Expressions over x0..x2 for edge operands, plus ``step``, which only
+    derivative trees contain and the random generator never builds."""
+    x0, x1, x2 = (ex.var(i) for i in range(3))
+    steps = [ex._step(x0), ex._step(ex.neg(x1)),
+             ex.mul(ex._step(ex.sub(x0, x1)), x2), ex._step(ex.log(x0))]
+    return ([ex.with_dims(e, 3) for e in steps]
+            + [ex.parse(text, 3) for text in _EDGE_SOURCES])
 
 
 def random_box(rng, dims, center_scale=4.0, max_half=2.0):
@@ -131,9 +148,9 @@ def reference_interval(f, box):
                                   float(box.highs[node.payload]))
             else:
                 operands = [end for a in node.args for end in walk(a)]
-                if node.kind == "pow":
+                if node.payload is not None:
                     operands.append(node.payload)
-                memo[id(node)] = _RULES[node.kind](*operands)
+                memo[id(node)] = _OPS[node.kind].interval(*operands)
         return memo[id(node)]
 
     try:
@@ -144,54 +161,21 @@ def reference_interval(f, box):
 
 
 def reference_derivative(f, d):
-    """d f / d x{d} by a walk over every node of ``f``, with the same
-    rules and constant folding as ``expr.differentiate``."""
+    """d f / d x{d} by a walk over every node of ``f``, with the derivative
+    rules of ``expr._OPS`` and the same constant folding."""
     memo = {}
     for node in ex._postorder([f]):
-        k = node.kind
-        if k == "const" or k == "step":
-            r = ex.const(0.0)
-        elif k == "var":
-            r = ex.const(1.0 if node.payload == d else 0.0)
-        else:
+        if node.args:
             u = node.args[0]
-            du = memo[id(u)]
+            v = dv = None
             if len(node.args) == 2:
                 v = node.args[1]
                 dv = memo[id(v)]
-            if k == "add":
-                r = ex.add(du, dv)
-            elif k == "sub":
-                r = ex.sub(du, dv)
-            elif k == "mul":
-                r = ex.add(ex.mul(du, v), ex.mul(u, dv))
-            elif k == "div":
-                r = ex.div(ex.sub(ex.mul(du, v), ex.mul(u, dv)),
-                           ex.pow_int(v, 2))
-            elif k == "neg":
-                r = ex.neg(du)
-            elif k == "pow":
-                kk = node.payload
-                r = ex.mul(ex.mul(ex.const(float(kk)), ex.pow_int(u, kk - 1)),
-                           du)
-            elif k == "sin":
-                r = ex.mul(ex.cos(u), du)
-            elif k == "cos":
-                r = ex.neg(ex.mul(ex.sin(u), du))
-            elif k == "exp":
-                r = ex.mul(ex.exp(u), du)
-            elif k == "log":
-                r = ex.div(du, u)
-            elif k == "sqrt":
-                r = ex.div(du, ex.mul(ex.const(2.0), ex.sqrt(u)))
-            elif k == "abs":
-                r = ex.mul(ex.sub(ex._step(u), ex._step(ex.neg(u))), du)
-            elif k in ("max", "min"):
-                sel = ex._step(ex.sub(u, v) if k == "max" else ex.sub(v, u))
-                r = ex.add(ex.mul(sel, du),
-                           ex.mul(ex.sub(ex.const(1.0), sel), dv))
-            else:
-                raise ValueError(f"unknown node kind {k!r}")
+            r = _OPS[node.kind].derive(u, v, memo[id(u)], dv, node.payload)
+        elif node.kind == "var":
+            r = ex.const(1.0 if node.payload == d else 0.0)
+        else:
+            r = ex.const(0.0)
         memo[id(node)] = r
     return ex.with_dims(memo[id(f)], f.dims)
 

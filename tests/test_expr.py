@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from treebound.bench import make_builtin
 
 from helpers import (
     central_diff,
+    edge_expressions,
     identical_trees,
     random_expression,
     reference_derivative,
@@ -353,18 +355,25 @@ INPUT_FORMS = {
 }
 
 
+# signed zeros, and ties wherever two coordinates are equal
+EDGE_POINTS = list(itertools.product([0.0, -0.0, 1.0, -1.0], repeat=3))
+
+
 class TestKernelInputs:
     @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
     def test_kernels_match_walk_bit_for_bit(self, form):
         rng = np.random.default_rng(17)
         convert = INPUT_FORMS[form]
-        for _ in range(150):
-            f = ex.with_dims(random_expression(rng, 3, 4, kinks=True), 3)
+        cases = [(ex.with_dims(random_expression(rng, 3, 4, kinks=True), 3),
+                  [rng.uniform(-5.0, 5.0, size=3)]) for _ in range(150)]
+        cases += [(f, EDGE_POINTS) for f in edge_expressions()]
+        for f, points in cases:
             comps = ex.gradient(f).components
             value, grad = ex.compile_function(f), ex.compile_vector(comps, 3)
-            x = convert(rng.uniform(-5.0, 5.0, size=3))
-            assert _bits([value(x)]) == _bits([ex.evaluate(f, x)])
-            assert _bits(grad(x)) == _bits(ex.evaluate(c, x) for c in comps)
+            for x in map(convert, points):
+                assert _bits([value(x)]) == _bits([ex.evaluate(f, x)])
+                assert _bits(grad(x)) == _bits(ex.evaluate(c, x)
+                                               for c in comps)
 
     @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
     def test_domain_error_falls_back_to_walk(self, form):

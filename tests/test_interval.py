@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from treebound import expr as ex
 from treebound.interval import LOWER_BOUND_CLAMP
 
 from helpers import (
+    edge_expressions,
     interval_bits,
     membership_counts,
     random_box,
@@ -153,12 +155,6 @@ class TestPartition:
                            [1.0, 1.0], [0.0, 0.0], [1.0, 0.5]])
         assert np.all(membership_counts(pieces, probes) == 1)
 
-    def test_rng_argument_accepted(self):
-        box = BoxDomain.cube(0.0, 1.0, 2)
-        a = partition(box, 5, np.random.default_rng(1))
-        b = partition(box, 5, np.random.default_rng(2))
-        assert all(x == y for x, y in zip(a, b))
-
 
 class TestSoundness:
     def test_fuzz_lower_and_upper(self):
@@ -230,6 +226,13 @@ class TestCompiledKernel:
             assert self._same(f, box)
             poisoned += eval_interval(f, box).poison
         assert poisoned > 0
+        # zero-width and half-open sides at signed zeros, equal sides for
+        # max/min ties, and log, sqrt and division on sides touching 0
+        sides = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (-1.0, -0.0),
+                 (0.0, 2.0), (-1.0, 2.0)]
+        for f in edge_expressions():
+            for box in itertools.product(sides, repeat=3):
+                assert self._same(f, BoxDomain.from_intervals(box))
 
     def test_relu_net_matches_reference_walk(self):
         # the network of acceptance criterion 9: every hidden unit reuses
