@@ -637,54 +637,51 @@ class _Op(NamedTuple):
     kink: bool = False
 
 
-def _pow_code(a, k):
-    # parenthesized base: unary minus binds looser than **
-    return f"{a} * {a}" if k == 2 else f"({a}) ** {k}"
-
-
 def _d_select(sel, du, dv):
     """Derivative of max or min: ``du`` where ``sel`` is 1, else ``dv``."""
     return add(mul(sel, du), mul(sub(const(1.0), sel), dv))
 
 
 _OPS = {
-    "add": _Op(2, operator.add, _iadd, "{} + {}".format,
+    "add": _Op(2, operator.add, _iadd, lambda a, b: f"{a} + {b}",
                lambda u, v, du, dv, k: add(du, dv)),
-    "sub": _Op(2, operator.sub, _isub, "{} - ({})".format,
+    "sub": _Op(2, operator.sub, _isub, lambda a, b: f"{a} - ({b})",
                lambda u, v, du, dv, k: sub(du, dv)),
-    "mul": _Op(2, operator.mul, _imul, "{} * {}".format,
+    "mul": _Op(2, operator.mul, _imul, lambda a, b: f"{a} * {b}",
                lambda u, v, du, dv, k: add(mul(du, v), mul(u, dv))),
-    "div": _Op(2, _ref_div, _idiv, "{} / ({})".format,
+    "div": _Op(2, _ref_div, _idiv, lambda a, b: f"{a} / ({b})",
                lambda u, v, du, dv, k: div(sub(mul(du, v), mul(u, dv)),
                                            pow_int(v, 2))),
-    "neg": _Op(1, operator.neg, _ineg, "-({})".format,
+    "neg": _Op(1, operator.neg, _ineg, lambda a: f"-({a})",
                lambda u, v, du, dv, k: neg(du)),
-    "pow": _Op(1, _ref_pow, _ipow, _pow_code,
+    # parenthesized base: unary minus binds looser than **
+    "pow": _Op(1, _ref_pow, _ipow,
+               lambda a, k: f"{a} * {a}" if k == 2 else f"({a}) ** {k}",
                lambda u, v, du, dv, k: mul(mul(const(float(k)),
                                                pow_int(u, k - 1)), du)),
-    "sin": _Op(1, _ref_sin, _isin, "sin({})".format,
+    "sin": _Op(1, _ref_sin, _isin, lambda a: f"sin({a})",
                lambda u, v, du, dv, k: mul(cos(u), du), sin),
-    "cos": _Op(1, _ref_cos, _icos, "cos({})".format,
+    "cos": _Op(1, _ref_cos, _icos, lambda a: f"cos({a})",
                lambda u, v, du, dv, k: neg(mul(sin(u), du)), cos),
-    "exp": _Op(1, _ref_exp, _iexp, "exp({})".format,
+    "exp": _Op(1, _ref_exp, _iexp, lambda a: f"exp({a})",
                lambda u, v, du, dv, k: mul(exp(u), du), exp),
-    "log": _Op(1, _ref_log, _ilog, "log({})".format,
+    "log": _Op(1, _ref_log, _ilog, lambda a: f"log({a})",
                lambda u, v, du, dv, k: div(du, u), log),
-    "sqrt": _Op(1, _ref_sqrt, _isqrt, "sqrt({})".format,
+    "sqrt": _Op(1, _ref_sqrt, _isqrt, lambda a: f"sqrt({a})",
                 lambda u, v, du, dv, k: div(du, mul(const(2.0), sqrt(u))),
                 sqrt),
     # sign(u) du, with sign(0) = 0
-    "abs": _Op(1, abs, _iabs, "abs({})".format,
+    "abs": _Op(1, abs, _iabs, lambda a: f"abs({a})",
                lambda u, v, du, dv, k: mul(sub(_step(u), _step(neg(u))), du),
                absolute, kink=True),
     # step(u - v) is 1 on the first argument's branch, ties included
-    "max": _Op(2, _fmax, _imax, "_fmax({}, {})".format,
+    "max": _Op(2, _fmax, _imax, lambda a, b: f"_fmax({a}, {b})",
                lambda u, v, du, dv, k: _d_select(_step(sub(u, v)), du, dv),
                maximum, kink=True),
-    "min": _Op(2, _fmin, _imin, "_fmin({}, {})".format,
+    "min": _Op(2, _fmin, _imin, lambda a, b: f"_fmin({a}, {b})",
                lambda u, v, du, dv, k: _d_select(_step(sub(v, u)), du, dv),
                minimum, kink=True),
-    "step": _Op(1, _ref_step, _istep, "_step({})".format,
+    "step": _Op(1, _ref_step, _istep, lambda a: f"_step({a})",
                 lambda u, v, du, dv, k: const(0.0)),
 }
 
@@ -704,15 +701,18 @@ def _evaluate_all(roots, xs):
     subexpressions shared between roots are evaluated once."""
     vals = {}
     for node in _postorder(roots):
-        if node.args:
-            operands = [vals[a] for a in node.args]
-            if node.payload is not None:
-                operands.append(node.payload)
-            v = _OPS[node.kind].point(*operands)
-        elif node.kind == "const":
-            v = node.payload
+        args = node.args
+        if not args:
+            v = node.payload if node.kind == "const" else xs[node.payload]
         else:
-            v = xs[node.payload]
+            rule = _OPS[node.kind].point
+            a = vals[args[0]]
+            if len(args) == 2:
+                v = rule(a, vals[args[1]])
+            elif node.payload is None:
+                v = rule(a)
+            else:  # pow's exponent
+                v = rule(a, node.payload)
         vals[node] = v
     return tuple(float(vals[r]) for r in roots)
 
