@@ -24,8 +24,10 @@ its point rule, its interval rule over float endpoints, its point-kernel
 snippet, its derivative rule, and its name and arity in the parser's
 grammar.  The evaluators, ``differentiate``, both kernel generators
 (here and in ``interval.py``) and the parser read that table, so adding
-an operator means adding one ``_OPS`` entry; only an operator written as
-a symbol also needs its form in ``unparse``.
+an operator means adding one ``_OPS`` entry.  Two more places may need
+an edit: a kernel snippet that calls a function needs that name in
+``_PointCode.namespace``, and an operator written as a symbol needs its
+form in ``unparse``.
 """
 
 from __future__ import annotations
@@ -642,7 +644,14 @@ def _d_select(sel, du, dv):
     return add(mul(sel, du), mul(sub(const(1.0), sel), dv))
 
 
-_OPS = {
+class _Table(dict):
+    """The operator table: a kind it lacks is an ``ExpressionError``."""
+
+    def __missing__(self, kind):
+        raise ExpressionError(f"unknown node kind {kind!r}")
+
+
+_OPS = _Table({
     "add": _Op(2, operator.add, _iadd, lambda a, b: f"{a} + {b}",
                lambda u, v, du, dv, k: add(du, dv)),
     "sub": _Op(2, operator.sub, _isub, lambda a, b: f"{a} - ({b})",
@@ -683,7 +692,7 @@ _OPS = {
                minimum, kink=True),
     "step": _Op(1, _ref_step, _istep, lambda a: f"_step({a})",
                 lambda u, v, du, dv, k: const(0.0)),
-}
+})
 
 
 def evaluate(f, x):
@@ -1068,6 +1077,7 @@ class _PointCode:
     """Snippets of the point kernels: one float local per node."""
 
     params = "x"
+    # the functions that the kernel snippets of ``_OPS`` call by name
     namespace = {
         "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
         "sqrt": math.sqrt, "_fmax": _fmax, "_fmin": _fmin, "_step": _ref_step,

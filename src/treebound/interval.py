@@ -174,9 +174,13 @@ class BoxDomain:
         return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
 
     def sample(self, rng):
-        # the draw of rng.uniform(lows, highs), without its per-call checks
+        # the draw of rng.uniform(lows, highs), with its range check but
+        # without its other per-call checks
         lows = self.lows
-        return lows + (self.highs - lows) * rng.random(lows.size)
+        w = self.highs - lows
+        if not math.isfinite(w.max()):  # hi - lo overflowed
+            raise OverflowError("Range exceeds valid bounds")
+        return lows + w * rng.random(lows.size)
 
     def split(self, d):
         """Bisect dimension ``d`` at its midpoint; the lower piece gets an
@@ -268,8 +272,7 @@ class _IntervalCode:
 
     @staticmethod
     def op(k, payload, args, temp):
-        if k not in _OPS:
-            raise ValueError(f"unknown node kind {k!r}")
+        _OPS[k]  # an unknown kind raises ExpressionError here
         operands = [end for pair in args for end in pair]
         if payload is not None:
             operands.append(repr(payload))

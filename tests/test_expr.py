@@ -466,3 +466,15 @@ class TestConstruction:
         f = ex.parse("x0 + x2", 3)
         with pytest.raises(ex.DimensionMismatch):
             ex.with_dims(f, 2)
+
+    def test_unknown_kind_rejected_everywhere(self):
+        # Expression accepts any kind; every consumer of the operator
+        # table rejects one it lacks the same way
+        f = ex.add(ex.Expression("frob", (ex.var(0),)), ex.var(1))
+        box = tb.BoxDomain([0.0, 0.0], [1.0, 1.0])
+        for use in (lambda: ex.evaluate(f, [0.5, 0.5]),
+                    lambda: ex.differentiate(f, 0),
+                    lambda: ex.compile_function(f),
+                    lambda: tb.eval_interval(f, box)):
+            with pytest.raises(ex.ExpressionError, match="unknown node kind"):
+                use()

@@ -313,6 +313,23 @@ class TestBoxDomain:
         for _ in range(100):
             assert box.encloses(box.sample(rng))
 
+    def test_sample_matches_uniform_and_its_range_check(self):
+        # sample draws what rng.uniform(lows, highs) draws, and fails as it
+        # does on a box whose width overflows a double
+        wide = BoxDomain([-8e307, 0.0, 2.0], [8e307, 1.0, 2.0])
+        mine, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(20):
+            x = wide.sample(mine)
+            assert x.tobytes() == ref.uniform(wide.lows, wide.highs).tobytes()
+            assert wide.encloses(x)
+        too_wide = BoxDomain([-1e308, 0.0], [1e308, 1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(OverflowError):
+                ref.uniform(too_wide.lows, too_wide.highs)
+            with pytest.raises(OverflowError):
+                too_wide.sample(mine)
+        assert mine.random() == ref.random()
+
     def test_intervals_round_trip(self):
         box = BoxDomain([0.0, -1.0], [2.0, 1.0])
         assert BoxDomain.from_intervals(box.intervals) == box
