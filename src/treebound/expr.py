@@ -1153,20 +1153,28 @@ def _point_list(x, dims):
     return xs.tolist()
 
 
-def compile_function(f):
-    """Fast callable for ``f``; falls back to the reference tree walk on
-    domain errors so NaN semantics are preserved exactly."""
-    fast = _codegen([f], "_f")
-    dims = f.dims
+def _point_kernel(roots, dims, name):
+    """Callable for the kernel ``name`` over ``roots``, returning what the
+    generated function returns: a float for one root, else a tuple.  It
+    falls back to the reference tree walk on domain errors so NaN
+    semantics are preserved exactly."""
+    fast = _codegen(roots, name)
+    single = len(roots) == 1
 
     def fn(x):
         xs = _point_list(x, dims)
         try:
             return fast(xs)
         except (ValueError, OverflowError, ZeroDivisionError):
-            return _evaluate_all([f], xs)[0]
+            out = _evaluate_all(roots, xs)
+            return out[0] if single else out
 
     return fn
+
+
+def compile_function(f):
+    """Fast callable for ``f``."""
+    return _point_kernel((f,), f.dims, "_f")
 
 
 def compile_vector(components, dims):
@@ -1174,22 +1182,15 @@ def compile_vector(components, dims):
     components = tuple(components)
     if not components:
         return lambda x: ()
-    fast = _codegen(components, "_v")
-    single = len(components) == 1
-
-    def fn(x):
-        xs = _point_list(x, dims)
-        try:
-            out = fast(xs)
-            return (out,) if single else out
-        except (ValueError, OverflowError, ZeroDivisionError):
-            return _evaluate_all(components, xs)
-
+    fn = _point_kernel(components, dims, "_v")
+    if len(components) == 1:
+        return lambda x: (fn(x),)
     return fn
 
 
 class CompiledObjective:
-    """Value / gradient / Hessian-diagonal callables with evaluation counters.
+    """Value / gradient / Hessian-diagonal callables with an evaluation
+    counter.
 
     Each call to :meth:`value`, :meth:`gradient` or :meth:`hessian_diagonal`
     counts as one evaluation toward ``total_evaluations``, which is the
@@ -1204,17 +1205,11 @@ class CompiledObjective:
         self._grad = None
         self._hess = None
         self._interval = None
-        self.value_evals = 0
-        self.gradient_evals = 0
-        self.hessian_evals = 0
+        self.total_evaluations = 0
         self.sample_log = None  # optional list capturing points passed to value()
 
-    @property
-    def total_evaluations(self):
-        return self.value_evals + self.gradient_evals + self.hessian_evals
-
     def value(self, x):
-        self.value_evals += 1
+        self.total_evaluations += 1
         if self.sample_log is not None:
             self.sample_log.append(np.array(x, dtype=float))
         return self._value(x)
@@ -1223,14 +1218,14 @@ class CompiledObjective:
         if self._grad is None:
             self._grad = compile_vector(gradient(self.expression).components,
                                         self.dims)
-        self.gradient_evals += 1
+        self.total_evaluations += 1
         return np.array(self._grad(x), dtype=float)
 
     def hessian_diagonal(self, x):
         if self._hess is None:
             self._hess = compile_vector(
                 hessian_diagonal(self.expression).components, self.dims)
-        self.hessian_evals += 1
+        self.total_evaluations += 1
         return np.array(self._hess(x), dtype=float)
 
     def interval_kernel(self):

@@ -201,13 +201,6 @@ class BoxDomain:
     def widest_dim(self):
         return int(self.widths.argmax())
 
-    def intersect(self, other):
-        lows = np.maximum(self.lows, other.lows)
-        highs = np.minimum(self.highs, other.highs)
-        if np.any(lows > highs):
-            raise ValueError("boxes do not intersect")
-        return BoxDomain(lows, highs)
-
     def __eq__(self, other):
         return (isinstance(other, BoxDomain)
                 and np.array_equal(self.lows, other.lows)

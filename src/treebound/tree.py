@@ -20,9 +20,11 @@ root's synthesized children are pruned back to a cap.
 
 Runs are deterministic given (expression, domain, config): all sampling
 goes through one seeded generator, and every tie-break picks the lowest
-index.  Trace records carry a wall-clock column only when the run is
-actually wall-clock budgeted; step- or evaluation-budgeted runs write
-zero there so their traces are byte-reproducible artifacts.
+index, because every choice is made by Python's ``min``, ``max`` or
+``next``, which return the first extremum or match.  Trace records
+carry a wall-clock column only when the run is actually wall-clock
+budgeted; step- or evaluation-budgeted runs write zero there so their
+traces are byte-reproducible artifacts.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,6 +59,8 @@ __all__ = [
 
 DEFAULT_STEP_BUDGET = 1000
 _GRAD_STEP_EPS = 1e-12
+_Y = attrgetter("y")
+_LB = attrgetter("lb")
 
 
 class TreeNode:
@@ -197,19 +202,15 @@ def classical_uct(total_reward, visits, parent_visits, exploration):
 
 
 def select(root, config):
-    """Descend from the root by argmax score (ties: lowest child index),
-    incrementing the visit count of every node along the path.  A
-    parent's count is incremented before its children are scored."""
+    """Descend from the root by argmax score, incrementing the visit count
+    of every node along the path.  A parent's count is incremented before
+    its children are scored."""
     node = root
     node.visits += 1
     while node.children:
-        best = None
-        best_u = -math.inf
-        for child in node.children:
-            u = uct_value(child, node.visits, config)
-            if best is None or u > best_u:
-                best, best_u = child, u
-        node = best
+        parent = node
+        node = max(parent.children,
+                   key=lambda c: uct_value(c, parent.visits, config))
         node.visits += 1
     return node
 
@@ -217,10 +218,13 @@ def select(root, config):
 # ---------------------------------------------------------------------------
 # growth
 
-def _node_from_report(box, lb, vol, report, parent, learned=False):
+def _new_node(obj, config, box, x0, parent, learned=False):
+    """A visited node over ``box``: its interval bound and log-volume,
+    and the local refinement of ``x0`` as its sample."""
+    report = local_opt(obj, x0, box, config.local_opt_budget)
     y = report.y if report.y == report.y else math.inf  # NaN sample -> worst
-    return TreeNode(box, lb, vol, x=np.asarray(report.x, dtype=float), y=y,
-                    parent=parent, visits=1, is_learned=learned)
+    return TreeNode(box, lower_bound(obj, box), log_volume(box), x=report.x,
+                    y=y, parent=parent, visits=1, is_learned=learned)
 
 
 def expand(leaf, f, config, rng):
@@ -234,27 +238,15 @@ def expand(leaf, f, config, rng):
     compiled on every call; repeated callers should pass
     ``as_objective(f)``."""
     obj = as_objective(f)
-    boxes = partition(leaf.box, config.num_children)
-    children = []
-    for sub in boxes:
-        x0 = sub.sample(rng)
-        report = local_opt(obj, x0, sub, config.local_opt_budget)
-        child = _node_from_report(sub, lower_bound(obj, sub),
-                                  log_volume(sub), report, leaf)
-        children.append(child)
-    if leaf.x is not None:
-        host = None
-        for child in children:
-            if child.box.contains(leaf.x):
-                host = child
-                break
-        if host is None:  # numerical edge: fall back to closed membership
-            for child in children:
-                if child.box.encloses(leaf.x):
-                    host = child
-                    break
+    children = [_new_node(obj, config, sub, sub.sample(rng), leaf)
+                for sub in partition(leaf.box, config.num_children)]
+    x = leaf.x
+    if x is not None:
+        # closed membership places a sample no half-open child holds
+        host = (next((c for c in children if c.box.contains(x)), None)
+                or next((c for c in children if c.box.encloses(x)), None))
         if host is not None and leaf.y < host.y:
-            host.x = leaf.x
+            host.x = x
             host.y = leaf.y
     leaf.children.extend(children)
     return children
@@ -306,10 +298,7 @@ def learn(leaf, children, f, config, rng, stats=None):
     if (hbar == 0.0).all():
         stats.learn_zero_hessian += 1
 
-    best = children[0]
-    for c in children[1:]:
-        if c.y < best.y:
-            best = c
+    best = min(children, key=_Y)
     xj = best.x
     bj = best.box
 
@@ -332,13 +321,10 @@ def learn(leaf, children, f, config, rng, stats=None):
     x_star = omega.clip(x_star)
 
     half = 0.5 * bj.widths
-    b_star = omega.intersect(BoxDomain(x_star - half, x_star + half))
-    lb_star = lower_bound(obj, b_star)
-    vol_star = log_volume(b_star)
-    report = local_opt(obj, b_star.clip(x_star), b_star,
-                       config.local_opt_budget)
-    node = _node_from_report(b_star, lb_star, vol_star, report, root,
-                             learned=True)
+    b_star = BoxDomain(np.maximum(omega.lows, x_star - half),
+                       np.minimum(omega.highs, x_star + half))
+    node = _new_node(obj, config, b_star, b_star.clip(x_star), root,
+                     learned=True)
     root.children.append(node)
     stats.learn_nodes += 1
     return node
@@ -348,21 +334,13 @@ def learn(leaf, children, f, config, rng, stats=None):
 # propagation and pruning
 
 def _aggregate(node):
-    """Refresh (x, y, lb, V) of an internal node from its children.
-    Ties resolve to the lowest child index."""
+    """Refresh (x, y, lb, V) of an internal node from its children."""
     if not node.children:
         return
-    best_y = node.children[0]
-    best_lb = node.children[0]
-    for c in node.children[1:]:
-        if c.y < best_y.y:
-            best_y = c
-        if c.lb < best_lb.lb:
-            best_lb = c
-    node.y = best_y.y
-    node.x = best_y.x
-    node.lb = best_lb.lb
-    node.log_vol = best_lb.log_vol
+    best = min(node.children, key=_Y)
+    tight = min(node.children, key=_LB)
+    node.y, node.x = best.y, best.x
+    node.lb, node.log_vol = tight.lb, tight.log_vol
 
 
 def backup(node):
@@ -385,11 +363,7 @@ def prune_root(root, config):
     excess = len(learned) - config.root_child_cap
     if excess <= 0:
         return 0
-    protected = None
-    for c in learned:
-        if c.y == root.y:
-            protected = c
-            break
+    protected = next((c for c in learned if c.y == root.y), None)
     candidates = [c for c in learned if c is not protected]
     candidates.sort(key=lambda c: c.y + config.c_lb * c.lb, reverse=True)
     doomed = set(id(c) for c in candidates[:excess])

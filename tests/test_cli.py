@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from treebound.bench import make_builtin
 from treebound.cli import load_config, main
+from treebound.expr import unparse
 
 
 @pytest.fixture
@@ -142,6 +144,18 @@ class TestDiffCheckCommand:
         assert main(["diff-check", "--expr-file", str(path),
                      "--points", "25"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_inaccurate_hessian_fails(self, tmp_path, capsys):
+        # at these points central differences miss Ackley's Hessian
+        # diagonal by 5.1e-4, above the 1e-4 tolerance
+        path = tmp_path / "ackley.txt"
+        path.write_text("dims: 3\ndomain: [-32.768, 32.768] x 3\n"
+                        + unparse(make_builtin("ackley", 3).expression))
+        assert main(["diff-check", "--expr-file", str(path),
+                     "--points", "30", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "hessian diagonal max rel err = 5.096e-04" in out
+        assert "FAIL" in out
 
 
 class TestLoadConfig:

@@ -162,14 +162,24 @@ class TestExpand:
     def test_parent_sample_inherited_by_containing_child(self):
         f = ex.parse("x0^2", 1)
         cfg = tb.SearchConfig(num_children=3, local_opt_budget=0)
-        box = tb.BoxDomain.cube(-1.0, 1.0, 1)
-        leaf = TreeNode(box, lower_bound(f, box), log_volume(box),
-                        x=np.array([0.001]), y=-5.0)  # better than any child
-        children = tb.expand(leaf, f, cfg, np.random.default_rng(3))
-        assert min(c.y for c in children) == -5.0
-        holders = [c for c in children if c.y == -5.0]
-        assert len(holders) == 1
-        assert holders[0].box.contains(np.array([0.001]))
+        # the pieces of [-1, 1] are [-1, -0.5), [-0.5, 0) and [0, 1]
+        cases = [
+            (0.001, True, 2),
+            (-0.5, True, 1),  # on a split face: the upper piece holds it
+            # on the leaf's open upper face no child contains it, so
+            # closed membership places it
+            (1.0, False, 2),
+        ]
+        for x, closed_hi, holder in cases:
+            box = tb.BoxDomain([-1.0], [1.0], closed_hi=[closed_hi])
+            leaf = TreeNode(box, lower_bound(f, box), log_volume(box),
+                            x=np.array([x]), y=-5.0)  # better than any child
+            children = tb.expand(leaf, f, cfg, np.random.default_rng(3))
+            assert min(c.y for c in children) == -5.0
+            holders = [c for c in children if c.y == -5.0]
+            assert holders == [children[holder]]
+            assert holders[0].box.contains(np.array([x])) is closed_hi
+            assert holders[0].box.encloses(np.array([x]))
 
 
 class TestLearn:
@@ -239,9 +249,12 @@ class TestLearn:
 class TestBackup:
     def test_componentwise_minima(self):
         root = _node(y=math.inf, lb=0.0, vol=0.0)
-        specs = [(3.0, -5.0, 0.0), (1.0, -4.0, 0.0), (2.0, -9.0, 7.0)]
-        for y, lb, vol in specs:
-            child = _node(y=y, lb=lb, vol=vol, x=np.array([y]))
+        # the last child ties the best y and the lowest lb; both ties
+        # resolve to the earlier child
+        specs = [(3.0, -5.0, 0.0), (1.0, -4.0, 0.0), (2.0, -9.0, 7.0),
+                 (1.0, -9.0, 8.0)]
+        for i, (y, lb, vol) in enumerate(specs):
+            child = _node(y=y, lb=lb, vol=vol, x=np.array([float(i)]))
             child.parent = root
             root.children.append(child)
         tb.backup(root.children[0])
@@ -293,11 +306,17 @@ class TestPruneRoot:
         return root
 
     def test_worst_score_removed(self):
-        cfg = tb.SearchConfig(root_child_cap=3)
-        root = self._root_with_learned([1.0, 2.0, 3.0, 4.0], cfg)
-        removed = tb.prune_root(root, cfg)
-        assert removed == 1
-        assert [c.y for c in root.children] == [1.0, 2.0, 3.0]
+        # among equal scores the earliest children are removed first, and
+        # the first child holding the best value is the protected one
+        cases = [([1.0, 2.0, 3.0, 4.0], 3, [0, 1, 2]),
+                 ([2.0, 1.0, 2.0, 1.0, 2.0], 3, [1, 3, 4]),
+                 ([1.0, 1.0, 1.0, 1.0], 2, [0, 3])]
+        for scores, cap, kept in cases:
+            cfg = tb.SearchConfig(root_child_cap=cap)
+            root = self._root_with_learned(scores, cfg)
+            removed = tb.prune_root(root, cfg)
+            assert removed == len(scores) - cap
+            assert [int(c.x[0]) for c in root.children] == kept
 
     def test_under_cap_is_noop(self):
         cfg = tb.SearchConfig(root_child_cap=10)
