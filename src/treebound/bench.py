@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expr as ex
 from .interval import BoxDomain
-from .tree import SearchConfig, _default_children, optimize
+from .tree import SearchConfig, optimize
 
 __all__ = [
     "BenchmarkProblem",
@@ -117,13 +117,13 @@ def make_levy(n):
                             ex.with_dims(f, n), 0.0, np.ones(n))
 
 
-def make_michalewicz(n, steepness=10):
+def make_michalewicz(n):
     terms = []
     for i in range(n):
         x = ex.var(i)
         arg = ex.mul(ex.const((i + 1) / math.pi), ex.pow_int(x, 2))
         terms.append(ex.mul(ex.sin(x),
-                            ex.pow_int(ex.sin(arg), 2 * steepness)))
+                            ex.pow_int(ex.sin(arg), 20)))
     f = ex.neg(ex.balanced_sum(terms))
     return BenchmarkProblem("michalewicz", n, BoxDomain.cube(0.0, math.pi, n),
                             ex.with_dims(f, n))
@@ -143,13 +143,12 @@ def make_builtin(name, dims):
 
 
 def table_defaults(name, dims, base=None):
-    """Per-problem hyperparameter defaults: 10/20/30 children as the
-    dimension grows, and a tighter local budget (20) for the shallow
-    Michalewicz class."""
+    """Per-problem hyperparameter defaults: a tighter local budget (20)
+    for the shallow Michalewicz class.  The children per expansion follow
+    the dimension through ``SearchConfig.resolve``."""
     cfg = base if base is not None else SearchConfig()
     lo = 20 if (name == "michalewicz" and dims <= 50) else 50
-    return replace(cfg, num_children=_default_children(dims),
-                   local_opt_budget=lo)
+    return replace(cfg, local_opt_budget=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +323,24 @@ def load_expression_file(path):
     return BenchmarkProblem(Path(path).stem, dims, box, expression)
 
 
-def load_nn_weights(path):
-    """Weights JSON: {n, h, W1, b1, w2, b2}, optional "domain"."""
+def _read_nn(path):
+    """The parsed weights JSON of ``path`` and its network."""
     with open(path) as fh:
         data = json.load(fh)
     missing = {"n", "h", "W1", "b1", "w2", "b2"} - set(data)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return ex.ReluNetWeights(n=data["n"], h=data["h"], w1=data["W1"],
-                             b1=data["b1"], w2=data["w2"], b2=data["b2"])
+    return data, ex.ReluNetWeights(n=data["n"], h=data["h"], w1=data["W1"],
+                                   b1=data["b1"], w2=data["w2"], b2=data["b2"])
+
+
+def load_nn_weights(path):
+    """Weights JSON: {n, h, W1, b1, w2, b2}, optional "domain"."""
+    return _read_nn(path)[1]
 
 
 def nn_problem(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    weights = load_nn_weights(path)
+    data, weights = _read_nn(path)
     domain = data.get("domain", list(DEFAULT_NN_DOMAIN))
     if (isinstance(domain, (list, tuple)) and len(domain) == 2
             and all(isinstance(v, (int, float)) for v in domain)):

@@ -46,8 +46,6 @@ __all__ = [
     "ExpressionError",
     "ParseError",
     "DimensionMismatch",
-    "GradientVector",
-    "HessianDiagonal",
     "ReluNetWeights",
     "const",
     "var",
@@ -69,7 +67,6 @@ __all__ = [
     "with_dims",
     "parse",
     "unparse",
-    "structurally_equal",
     "evaluate",
     "differentiate",
     "gradient",
@@ -134,10 +131,13 @@ class Expression:
         self.dims = dims
 
     def __reduce__(self):
-        return (Expression, (self.kind, self.args, self.payload, self.dims))
-
-    def with_dims(self, n):
-        return with_dims(self, n)
+        # flat post-order records, so a long chain does not make pickle
+        # recurse once per node; shared nodes stay shared
+        nodes = _postorder([self])
+        index = {node: i for i, node in enumerate(nodes)}
+        return (_unpickle, (tuple(
+            (n.kind, tuple(index[a] for a in n.args), n.payload, n.dims)
+            for n in nodes),))
 
     # arithmetic sugar so benchmark builders read naturally
     def __add__(self, other):
@@ -172,6 +172,14 @@ class Expression:
 
     def __repr__(self):
         return f"Expression({unparse(self)!r}, dims={self.dims})"
+
+
+def _unpickle(records):
+    """The last node of ``Expression.__reduce__``'s post-order records."""
+    nodes = []
+    for kind, args, payload, dims in records:
+        nodes.append(Expression(kind, [nodes[i] for i in args], payload, dims))
+    return nodes[-1]
 
 
 def _coerce(value):
@@ -368,23 +376,6 @@ def _postorder(roots):
                 if child not in seen:
                     stack.append((child, False))
     return out
-
-
-def structurally_equal(a, b):
-    """Structural comparison ignoring the declared dimension count."""
-    stack = [(a, b)]
-    while stack:
-        u, v = stack.pop()
-        if u is v:
-            continue
-        if u.kind != v.kind or u.payload != v.payload or len(u.args) != len(v.args):
-            return False
-        stack.extend(zip(u.args, v.args))
-    return True
-
-
-def _has_kinks(root):
-    return any(_OPS[n.kind].kink for n in _postorder([root]) if n.args)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +617,7 @@ class _Op(NamedTuple):
     ``dv`` are None for a unary kind) and the payload.  ``call`` builds
     the node for ``kind(...)`` in the parser's grammar, with ``arity``
     arguments; it is None for operators written as symbols and for
-    ``step``.  ``kink`` marks the kinds differentiated by the one-sided
-    convention of the module docstring.
+    ``step``.
     """
 
     arity: int
@@ -636,7 +626,6 @@ class _Op(NamedTuple):
     kernel: Callable
     derive: Callable
     call: Callable | None = None
-    kink: bool = False
 
 
 def _d_select(sel, du, dv):
@@ -682,14 +671,14 @@ _OPS = _Table({
     # sign(u) du, with sign(0) = 0
     "abs": _Op(1, abs, _iabs, lambda a: f"abs({a})",
                lambda u, v, du, dv, k: mul(sub(_step(u), _step(neg(u))), du),
-               absolute, kink=True),
+               absolute),
     # step(u - v) is 1 on the first argument's branch, ties included
     "max": _Op(2, _fmax, _imax, lambda a, b: f"_fmax({a}, {b})",
                lambda u, v, du, dv, k: _d_select(_step(sub(u, v)), du, dv),
-               maximum, kink=True),
+               maximum),
     "min": _Op(2, _fmin, _imin, lambda a, b: f"_fmin({a}, {b})",
                lambda u, v, du, dv, k: _d_select(_step(sub(v, u)), du, dv),
-               minimum, kink=True),
+               minimum),
     "step": _Op(1, _ref_step, _istep, lambda a: f"_step({a})",
                 lambda u, v, du, dv, k: const(0.0)),
 })
@@ -778,41 +767,20 @@ def _derive(root, d, memo):
     return memo[(root, d if root.mask & bit else None)]
 
 
-@dataclass(frozen=True)
-class GradientVector:
-    """Per-dimension derivative expressions of a scalar expression: the
-    gradient, or the Hessian diagonal (d-th is d²f/dx_d²)."""
-
-    components: tuple
-    subgradient_convention: bool  # True when abs/max/min kinks were resolved
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-
-HessianDiagonal = GradientVector
-
-
 def gradient(f):
+    """Tuple of the partial derivatives of ``f``, one per dimension."""
     memo = {}
-    comps = tuple(with_dims(_derive(f, d, memo), f.dims)
-                  for d in range(f.dims))
-    return GradientVector(comps, _has_kinks(f))
+    return tuple(with_dims(_derive(f, d, memo), f.dims)
+                 for d in range(f.dims))
 
 
 def hessian_diagonal(f):
+    """Tuple of the second partials d²f/dx_d², one per dimension."""
     # one memo for both passes: the second reuses the (node, d) entries
     # the first made for the nodes of f that g_d contains
     memo = {}
-    comps = tuple(with_dims(_derive(_derive(f, d, memo), d, memo), f.dims)
-                  for d in range(f.dims))
-    return HessianDiagonal(comps, _has_kinks(f))
+    return tuple(with_dims(_derive(_derive(f, d, memo), d, memo), f.dims)
+                 for d in range(f.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -1180,8 +1148,6 @@ def compile_function(f):
 def compile_vector(components, dims):
     """Fast callable returning a tuple of component values."""
     components = tuple(components)
-    if not components:
-        return lambda x: ()
     fn = _point_kernel(components, dims, "_v")
     if len(components) == 1:
         return lambda x: (fn(x),)
@@ -1216,15 +1182,14 @@ class CompiledObjective:
 
     def gradient(self, x):
         if self._grad is None:
-            self._grad = compile_vector(gradient(self.expression).components,
-                                        self.dims)
+            self._grad = compile_vector(gradient(self.expression), self.dims)
         self.total_evaluations += 1
         return np.array(self._grad(x), dtype=float)
 
     def hessian_diagonal(self, x):
         if self._hess is None:
-            self._hess = compile_vector(
-                hessian_diagonal(self.expression).components, self.dims)
+            self._hess = compile_vector(hessian_diagonal(self.expression),
+                                        self.dims)
         self.total_evaluations += 1
         return np.array(self._hess(x), dtype=float)
 

@@ -70,10 +70,6 @@ class Interval:
     def poisoned():
         return Interval(-_INF, _INF, poison=True)
 
-    @property
-    def width(self):
-        return self.hi - self.lo
-
     def contains(self, value):
         return self.lo <= value <= self.hi
 
@@ -131,12 +127,6 @@ class BoxDomain:
     def cube(cls, lo, hi, dims):
         return cls(np.full(dims, float(lo)), np.full(dims, float(hi)))
 
-    @classmethod
-    def from_intervals(cls, pairs):
-        pairs = [(iv.lo, iv.hi) if isinstance(iv, Interval) else tuple(iv)
-                 for iv in pairs]
-        return cls([p[0] for p in pairs], [p[1] for p in pairs])
-
     @property
     def dims(self):
         return self.lows.size
@@ -148,13 +138,6 @@ class BoxDomain:
     @property
     def midpoint(self):
         return 0.5 * (self.lows + self.highs)
-
-    @property
-    def intervals(self):
-        return tuple(Interval(lo, hi) for lo, hi in zip(self.lows, self.highs))
-
-    def interval(self, d):
-        return Interval(self.lows[d], self.highs[d])
 
     def contains(self, x):
         """Membership under the half-open convention (see class docstring)."""

@@ -89,11 +89,6 @@ class TreeNode:
                 f"children={len(self.children)})")
 
 
-def _default_children(dims):
-    """Children per expansion: 10 up to 50 dims, 20 up to 100, else 30."""
-    return 10 if dims <= 50 else (20 if dims <= 100 else 30)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """All search hyperparameters.
@@ -145,7 +140,8 @@ class SearchConfig:
         self.validate()
         cfg = self
         if cfg.num_children is None:
-            cfg = replace(cfg, num_children=_default_children(dims))
+            cfg = replace(cfg, num_children=(
+                10 if dims <= 50 else (20 if dims <= 100 else 30)))
         if cfg.grad_samples is None:
             cfg = replace(cfg, grad_samples=dims + 1)
         if (cfg.step_budget is None and cfg.eval_budget is None

@@ -174,6 +174,17 @@ class TestRunSuite:
         b = (tmp_path / "b" / "levy-2d-seed3.csv").read_bytes()
         assert a == b
 
+    def test_long_expression_in_worker_processes(self, tmp_path):
+        # the pool pickles the problem; a 1,500-term chain must not pass
+        # the recursion limit there
+        path = tmp_path / "chain.txt"
+        path.write_text("dims: 1\ndomain: [-1, 1] x 1\n"
+                        + " + ".join(["x0"] * 1500) + "\n")
+        p = bench.load_expression_file(path)
+        bench.run_suite([p], tb.SearchConfig(step_budget=2), [0, 1],
+                        tmp_path / "out", jobs=2)
+        assert (tmp_path / "out" / "chain-1d-seed1.csv").exists()
+
     def test_empty_seed_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             bench.run_suite([bench.make_ackley(2)], tb.SearchConfig(), [],
@@ -182,9 +193,9 @@ class TestRunSuite:
 
 class TestTableDefaults:
     def test_children_scale_with_dims(self):
-        assert bench.table_defaults("ackley", 50).num_children == 10
-        assert bench.table_defaults("ackley", 100).num_children == 20
-        assert bench.table_defaults("ackley", 200).num_children == 30
+        for dims, children in ((50, 10), (100, 20), (200, 30)):
+            cfg = bench.table_defaults("ackley", dims).resolve(dims)
+            assert cfg.num_children == children
 
     def test_michalewicz_local_budget(self):
         assert bench.table_defaults("michalewicz", 50).local_opt_budget == 20

@@ -5,6 +5,7 @@ import pytest
 
 from treebound.bench import make_builtin
 from treebound.cli import load_config, main
+from treebound import expr as ex
 from treebound.expr import unparse
 
 
@@ -145,16 +146,30 @@ class TestDiffCheckCommand:
                      "--points", "25"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_inaccurate_hessian_fails(self, tmp_path, capsys):
-        # at these points central differences miss Ackley's Hessian
-        # diagonal by 5.1e-4, above the 1e-4 tolerance
+    @staticmethod
+    def _ackley_file(tmp_path):
         path = tmp_path / "ackley.txt"
         path.write_text("dims: 3\ndomain: [-32.768, 32.768] x 3\n"
                         + unparse(make_builtin("ackley", 3).expression))
-        assert main(["diff-check", "--expr-file", str(path),
+        return str(path)
+
+    def test_exact_ackley_derivatives_pass(self, tmp_path, capsys):
+        # a plain second difference misses Ackley's Hessian diagonal by
+        # 5.1e-4 at these points; its Richardson extrapolation does not
+        assert main(["diff-check", "--expr-file", self._ackley_file(tmp_path),
+                     "--points", "30", "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "hessian diagonal max rel err = 2.168e-07" in out
+        assert "PASS" in out
+
+    def test_wrong_derivative_rule_fails(self, tmp_path, capsys,
+                                         monkeypatch):
+        cos = ex._OPS["cos"]
+        monkeypatch.setitem(ex._OPS, "cos", cos._replace(
+            derive=lambda *a: ex.mul(ex.const(1.001), cos.derive(*a))))
+        assert main(["diff-check", "--expr-file", self._ackley_file(tmp_path),
                      "--points", "30", "--seed", "4"]) == 1
         out = capsys.readouterr().out
-        assert "hessian diagonal max rel err = 5.096e-04" in out
         assert "FAIL" in out
 
 

@@ -232,7 +232,8 @@ class TestCompiledKernel:
                  (0.0, 2.0), (-1.0, 2.0)]
         for f in edge_expressions():
             for box in itertools.product(sides, repeat=3):
-                assert self._same(f, BoxDomain.from_intervals(box))
+                lows, highs = zip(*box)
+                assert self._same(f, BoxDomain(lows, highs))
 
     def test_relu_net_matches_reference_walk(self):
         # the network of acceptance criterion 9: every hidden unit reuses
@@ -329,7 +330,3 @@ class TestBoxDomain:
             with pytest.raises(OverflowError):
                 too_wide.sample(mine)
         assert mine.random() == ref.random()
-
-    def test_intervals_round_trip(self):
-        box = BoxDomain([0.0, -1.0], [2.0, 1.0])
-        assert BoxDomain.from_intervals(box.intervals) == box
