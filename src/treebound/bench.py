@@ -327,6 +327,8 @@ def _read_nn(path):
     """The parsed weights JSON of ``path`` and its network."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: weights file must hold a JSON object")
     missing = {"n", "h", "W1", "b1", "w2", "b2"} - set(data)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
@@ -339,13 +341,21 @@ def load_nn_weights(path):
     return _read_nn(path)[1]
 
 
+def _is_pair(v):
+    return (isinstance(v, list) and len(v) == 2
+            and all(isinstance(e, (int, float)) for e in v))
+
+
 def nn_problem(path):
     data, weights = _read_nn(path)
     domain = data.get("domain", list(DEFAULT_NN_DOMAIN))
-    if (isinstance(domain, (list, tuple)) and len(domain) == 2
-            and all(isinstance(v, (int, float)) for v in domain)):
+    if _is_pair(domain):
         box = BoxDomain.cube(domain[0], domain[1], weights.n)
-    else:
+    elif (isinstance(domain, list) and len(domain) == weights.n
+          and all(map(_is_pair, domain))):
         box = BoxDomain([d[0] for d in domain], [d[1] for d in domain])
+    else:
+        raise ValueError(f"{path}: domain must be one [lo, hi] pair or "
+                         f"{weights.n} pairs")
     expression = ex.relu_net_to_expression(weights)
     return BenchmarkProblem(Path(path).stem, weights.n, box, expression)

@@ -27,7 +27,7 @@ grammar.  The evaluators, ``differentiate``, both kernel generators
 an operator means adding one ``_OPS`` entry.  Two more places may need
 an edit: a kernel snippet that calls a function needs that name in
 ``_PointCode.namespace``, and an operator written as a symbol needs its
-form in ``unparse``.
+form in ``unparse`` and, if binary, in the parser's ``_BINARY``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -381,12 +382,20 @@ def _postorder(roots):
 # ---------------------------------------------------------------------------
 # point rules (define the NaN semantics)
 
-def _ref_div(a, b):
-    if b == 0.0:
-        return _NAN
-    return a / b
+def _nan_on_error(fn):
+    """``fn`` with NaN for a domain error or a division by zero: the
+    point rule of div, sin, cos, log and sqrt in ``_OPS``."""
+
+    def rule(*args):
+        try:
+            return fn(*args)
+        except (ValueError, ZeroDivisionError):
+            return _NAN
+
+    return rule
 
 
+# exp and pow return +-inf on overflow, not NaN
 def _ref_pow(a, k):
     try:
         return a ** k
@@ -396,37 +405,11 @@ def _ref_pow(a, k):
         return _NAN
 
 
-def _ref_sin(a):
-    try:
-        return math.sin(a)
-    except ValueError:
-        return _NAN
-
-
-def _ref_cos(a):
-    try:
-        return math.cos(a)
-    except ValueError:
-        return _NAN
-
-
 def _ref_exp(a):
     try:
         return math.exp(a)
     except OverflowError:
         return _INF
-
-
-def _ref_log(a):
-    if a > 0.0:
-        return math.log(a)
-    return _NAN
-
-
-def _ref_sqrt(a):
-    if a >= 0.0:
-        return math.sqrt(a)
-    return _NAN
 
 
 def _fmax(a, b):
@@ -525,33 +508,26 @@ def _crit_inside(lo, hi, c):
     return False
 
 
-def _isin(alo, ahi):
-    if ahi - alo >= _TWO_PI:
-        return -1.0, 1.0
-    if not (math.isfinite(alo) and math.isfinite(ahi)):
-        # degenerate infinite endpoint: no real argument value exists
-        raise _Poison
-    slo, shi = math.sin(alo), math.sin(ahi)
-    lo, hi = min(slo, shi), max(slo, shi)
-    if _crit_inside(alo, ahi, 0.5 * math.pi):
-        hi = 1.0
-    if _crit_inside(alo, ahi, -0.5 * math.pi):
-        lo = -1.0
-    return lo, hi
+def _periodic(fn, peak, trough):
+    """Interval rule of ``fn`` (sin or cos in ``_OPS``): period 2*pi,
+    range [-1, 1], maxima at ``peak + 2*pi*k`` and minima at
+    ``trough + 2*pi*k``."""
 
+    def rule(alo, ahi):
+        if ahi - alo >= _TWO_PI:
+            return -1.0, 1.0
+        if not (math.isfinite(alo) and math.isfinite(ahi)):
+            # degenerate infinite endpoint: no real argument value exists
+            raise _Poison
+        flo, fhi = fn(alo), fn(ahi)
+        lo, hi = min(flo, fhi), max(flo, fhi)
+        if _crit_inside(alo, ahi, peak):
+            hi = 1.0
+        if _crit_inside(alo, ahi, trough):
+            lo = -1.0
+        return lo, hi
 
-def _icos(alo, ahi):
-    if ahi - alo >= _TWO_PI:
-        return -1.0, 1.0
-    if not (math.isfinite(alo) and math.isfinite(ahi)):
-        raise _Poison
-    clo, chi = math.cos(alo), math.cos(ahi)
-    lo, hi = min(clo, chi), max(clo, chi)
-    if _crit_inside(alo, ahi, 0.0):
-        hi = 1.0
-    if _crit_inside(alo, ahi, math.pi):
-        lo = -1.0
-    return lo, hi
+    return rule
 
 
 def _iexp(alo, ahi):
@@ -647,7 +623,8 @@ _OPS = _Table({
                lambda u, v, du, dv, k: sub(du, dv)),
     "mul": _Op(2, operator.mul, _imul, lambda a, b: f"{a} * {b}",
                lambda u, v, du, dv, k: add(mul(du, v), mul(u, dv))),
-    "div": _Op(2, _ref_div, _idiv, lambda a, b: f"{a} / ({b})",
+    "div": _Op(2, _nan_on_error(operator.truediv), _idiv,
+               lambda a, b: f"{a} / ({b})",
                lambda u, v, du, dv, k: div(sub(mul(du, v), mul(u, dv)),
                                            pow_int(v, 2))),
     "neg": _Op(1, operator.neg, _ineg, lambda a: f"-({a})",
@@ -657,15 +634,19 @@ _OPS = _Table({
                lambda a, k: f"{a} * {a}" if k == 2 else f"({a}) ** {k}",
                lambda u, v, du, dv, k: mul(mul(const(float(k)),
                                                pow_int(u, k - 1)), du)),
-    "sin": _Op(1, _ref_sin, _isin, lambda a: f"sin({a})",
+    "sin": _Op(1, _nan_on_error(math.sin),
+               _periodic(math.sin, 0.5 * math.pi, -0.5 * math.pi),
+               lambda a: f"sin({a})",
                lambda u, v, du, dv, k: mul(cos(u), du), sin),
-    "cos": _Op(1, _ref_cos, _icos, lambda a: f"cos({a})",
+    "cos": _Op(1, _nan_on_error(math.cos), _periodic(math.cos, 0.0, math.pi),
+               lambda a: f"cos({a})",
                lambda u, v, du, dv, k: neg(mul(sin(u), du)), cos),
     "exp": _Op(1, _ref_exp, _iexp, lambda a: f"exp({a})",
                lambda u, v, du, dv, k: mul(exp(u), du), exp),
-    "log": _Op(1, _ref_log, _ilog, lambda a: f"log({a})",
+    "log": _Op(1, _nan_on_error(math.log), _ilog, lambda a: f"log({a})",
                lambda u, v, du, dv, k: div(du, u), log),
-    "sqrt": _Op(1, _ref_sqrt, _isqrt, lambda a: f"sqrt({a})",
+    "sqrt": _Op(1, _nan_on_error(math.sqrt), _isqrt,
+                lambda a: f"sqrt({a})",
                 lambda u, v, du, dv, k: div(du, mul(const(2.0), sqrt(u))),
                 sqrt),
     # sign(u) du, with sign(0) = 0
@@ -699,18 +680,13 @@ def _evaluate_all(roots, xs):
     subexpressions shared between roots are evaluated once."""
     vals = {}
     for node in _postorder(roots):
-        args = node.args
-        if not args:
+        if not node.args:
             v = node.payload if node.kind == "const" else xs[node.payload]
         else:
-            rule = _OPS[node.kind].point
-            a = vals[args[0]]
-            if len(args) == 2:
-                v = rule(a, vals[args[1]])
-            elif node.payload is None:
-                v = rule(a)
-            else:  # pow's exponent
-                v = rule(a, node.payload)
+            operands = [vals[a] for a in node.args]
+            if node.payload is not None:
+                operands.append(node.payload)
+            v = _OPS[node.kind].point(*operands)
         vals[node] = v
     return tuple(float(vals[r]) for r in roots)
 
@@ -859,29 +835,27 @@ _TOKEN = re.compile(
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
+    line, start = 1, 0  # start: the offset where the line begins
     pos = 0
     while pos < len(text):
         ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in " \t\r\n":
             pos += 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
+            if ch == "\n":
+                line, start = line + 1, pos
             continue
         m = _TOKEN.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        tokens.append((kind, tok, line, col))
-        col += len(tok)
+            raise ParseError(f"unexpected character {ch!r}", line,
+                             pos - start + 1)
+        tokens.append((m.lastgroup, m.group(), line, pos - start + 1))
         pos = m.end()
-    tokens.append(("end", "", line, col))
+    tokens.append(("end", "", line, pos - start + 1))
     return tokens
+
+
+# the binary operators of ``_Parser.expression``, loosest level first
+_BINARY = ({"+": add, "-": sub}, {"*": mul, "/": div})
 
 
 class _Parser:
@@ -908,20 +882,16 @@ class _Parser:
             self.error(f"expected {op!r}")
         return self.advance()
 
-    def expression(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+    def expression(self, level=0):
+        """A left-associative chain of ``_BINARY[level]``'s operators;
+        the operands are the next level's chains, or unary terms."""
+        ops = _BINARY[level]
+        operand = (self.unary if level + 1 == len(_BINARY)
+                   else partial(self.expression, level + 1))
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            build = ops[self.advance()[1]]
+            node = build(node, operand())
         return node
 
     def unary(self):
@@ -1003,39 +973,32 @@ _OPSYM = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 def unparse(f):
     """Render a parseable source string (derivative trees may contain
     ``step(...)``, which the grammar does not accept back)."""
-    parts = {}
-    prec = {}
+    done = {}  # node -> (source, precedence)
+
+    def at(node, p):
+        """``node``'s source, parenthesized if it binds looser than ``p``."""
+        s, q = done[node]
+        return s if q >= p else f"({s})"
+
     for node in _postorder([f]):
         k = node.kind
         if k == "const":
             s = repr(node.payload)
             p = 5 if node.payload >= 0 else 0
         elif k == "var":
-            s = f"x{node.payload}"
-            p = 5
-        elif k in ("add", "sub", "mul", "div"):
+            s, p = f"x{node.payload}", 5
+        elif k in _OPSYM:
             a, b = node.args
-            my = _PREC[k]
-            left = parts[id(a)] if prec[id(a)] >= my else f"({parts[id(a)]})"
-            right = parts[id(b)] if prec[id(b)] > my else f"({parts[id(b)]})"
-            s = f"{left} {_OPSYM[k]} {right}"
-            p = my
+            p = _PREC[k]
+            s = f"{at(a, p)} {_OPSYM[k]} {at(b, p + 1)}"
         elif k == "neg":
-            a = node.args[0]
-            inner = parts[id(a)] if prec[id(a)] >= 3 else f"({parts[id(a)]})"
-            s = f"-{inner}"
-            p = 3
+            s, p = f"-{at(node.args[0], 3)}", 3
         elif k == "pow":
-            a = node.args[0]
-            base = parts[id(a)] if prec[id(a)] >= 5 else f"({parts[id(a)]})"
-            s = f"{base}^{node.payload}"
-            p = 4
+            s, p = f"{at(node.args[0], 5)}^{node.payload}", 4
         else:  # function application
-            s = f"{k}({', '.join(parts[id(a)] for a in node.args)})"
-            p = 5
-        parts[id(node)] = s
-        prec[id(node)] = p
-    return parts[id(f)]
+            s, p = f"{k}({', '.join(done[a][0] for a in node.args)})", 5
+        done[node] = s, p
+    return done[f][0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ traces are byte-reproducible artifacts.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -114,6 +115,18 @@ class SearchConfig:
     seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            # types as declared: an "int" field is a count, a "float" one
+            # any real number, a None default may stay unset; no bools
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            count = f.type.startswith("int")
+            if isinstance(v, bool) or not isinstance(
+                    v, numbers.Integral if count else numbers.Real):
+                raise ValueError(
+                    f"{f.name} must be "
+                    f"{'an integer' if count else 'a real number'}, got {v!r}")
         for name in ("c_lb", "c_v", "c_x"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
@@ -382,14 +395,13 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
     CompiledObjective to several runs reuses its kernels without
     changing their traces.  ``observer(root, step)`` is called after
     every iteration; ``sample_log``, if a list, receives every point
-    passed to the objective.
+    passed to the objective's value during this call.
     """
     config = (config or SearchConfig()).resolve(omega.dims)
     if f.dims != omega.dims:
         raise DimensionMismatch(
             f"expression over {f.dims} dimension(s), domain has {omega.dims}")
     obj = as_objective(f)
-    obj.sample_log = sample_log
     evals_before = obj.total_evaluations
     rng = np.random.default_rng(config.seed)
 
@@ -399,30 +411,34 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
     timed = config.wall_clock_budget_ms is not None
     started = time.perf_counter()
     step = 0
-    while True:
-        step += 1
-        leaf = select(root, config)
-        children = expand(leaf, obj, config, rng)
-        learn(leaf, children, obj, config, rng, stats)
-        backup(leaf)
-        stats.pruned_nodes += prune_root(root, config)
+    obj.sample_log = sample_log
+    try:
+        while True:
+            step += 1
+            leaf = select(root, config)
+            children = expand(leaf, obj, config, rng)
+            learn(leaf, children, obj, config, rng, stats)
+            backup(leaf)
+            stats.pruned_nodes += prune_root(root, config)
 
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        evaluations = obj.total_evaluations - evals_before
-        trace.append(TraceRecord(step, evaluations,
-                                 elapsed_ms if timed else 0.0, root.y))
-        if observer is not None:
-            observer(root, step)
-        if config.step_budget is not None and step >= config.step_budget:
-            reason = "steps"
-            break
-        if (config.eval_budget is not None
-                and evaluations >= config.eval_budget):
-            reason = "evals"
-            break
-        if timed and elapsed_ms >= config.wall_clock_budget_ms:
-            reason = "wall_clock"
-            break
+            elapsed_ms = (time.perf_counter() - started) * 1e3
+            evaluations = obj.total_evaluations - evals_before
+            trace.append(TraceRecord(step, evaluations,
+                                     elapsed_ms if timed else 0.0, root.y))
+            if observer is not None:
+                observer(root, step)
+            if config.step_budget is not None and step >= config.step_budget:
+                reason = "steps"
+                break
+            if (config.eval_budget is not None
+                    and evaluations >= config.eval_budget):
+                reason = "evals"
+                break
+            if timed and elapsed_ms >= config.wall_clock_budget_ms:
+                reason = "wall_clock"
+                break
+    finally:
+        obj.sample_log = None  # the log covers this call only
 
     elapsed_ms = (time.perf_counter() - started) * 1e3
     best_x = None if root.x is None else np.array(root.x, dtype=float)

@@ -279,3 +279,17 @@ class TestNnFiles:
         path.write_text(json.dumps({"n": 2, "h": 1}))
         with pytest.raises(ValueError, match="missing keys"):
             bench.load_nn_weights(path)
+
+    @pytest.mark.parametrize("domain,message", [
+        ([[0, 1], [2]], "domain must be one"),
+        (5, "domain must be one"),
+        (None, "must hold a JSON object"),  # the file holds 5
+    ])
+    def test_malformed_file_names_it(self, tmp_path, domain, message):
+        payload = self._weights_payload(np.random.default_rng(10), n=2)
+        payload["domain"] = domain
+        path = tmp_path / "bad-net.json"
+        path.write_text(json.dumps(payload if domain is not None else 5))
+        with pytest.raises(ValueError, match=message) as err:
+            bench.nn_problem(path)
+        assert "bad-net.json" in str(err.value)

@@ -194,6 +194,20 @@ class TestLoadConfig:
         assert cfg.num_children == 20
         assert cfg.c_lb == 50.0
 
+    @pytest.mark.parametrize("bad", [{"c_lb": "a"}, {"seed": "x"},
+                                     {"grad_samples": 2.5},
+                                     {"num_children": 2.5}])
+    def test_wrong_type_is_an_error_line(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(bad))
+        code = main(["optimize", "--fn", "levy", "--dims", "2",
+                     "--steps", "2", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {next(iter(bad))} must be")
+        assert "Traceback" not in err
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"numchildren": 20}))

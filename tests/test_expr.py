@@ -51,6 +51,14 @@ class TestParse:
             ex.parse("x0 + ", 1)
         assert err.value.line == 1
         assert err.value.column == 6
+        # columns restart after each newline; tabs and "\r" count as one
+        for text, line, column in [("x0 +\n\t x1 $", 2, 6),
+                                   ("x0 +\n", 2, 1),
+                                   ("x0 *\r\n  (x1", 2, 6),
+                                   ("sin(x0)\n\n  @", 3, 3)]:
+            with pytest.raises(ex.ParseError) as err:
+                ex.parse(text, 2)
+            assert (err.value.line, err.value.column) == (line, column), text
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ex.ParseError, match="integer"):

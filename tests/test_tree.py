@@ -436,11 +436,16 @@ class TestOptimize:
         f = ex.parse("min((x0 + 0.5)^2, (x0 - 0.5)^2 + 0.001)", 1)
         box = tb.BoxDomain.cube(-1.0, 1.0, 1)
         log = []
-        tb.optimize(f, box, tb.SearchConfig(step_budget=100, seed=1),
+        obj = tb.as_objective(f)
+        tb.optimize(obj, box, tb.SearchConfig(step_budget=100, seed=1),
                     sample_log=log)
         pts = np.array([p[0] for p in log])
         assert np.any(pts < 0.0)
         assert np.any(pts >= 0.0)
+        # the log is detached when the run ends
+        logged = len(log)
+        obj.value(np.array([0.25]))
+        assert len(log) == logged
 
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ex.DimensionMismatch):
@@ -538,7 +543,18 @@ class TestSearchConfig:
         {"step_budget": 0},
         {"wall_clock_budget_ms": math.inf},
         {"eval_budget": math.nan},
+        # wrong types, as a JSON config file can give them
+        {"c_lb": "a"},
+        {"seed": "x"},
+        {"grad_samples": 2.5},
+        {"num_children": 2.5},
+        {"step_budget": True},
     ])
     def test_validation_errors(self, bad):
         with pytest.raises(ValueError):
             tb.SearchConfig(**bad).validate()
+
+    def test_numpy_numbers_accepted(self):
+        cfg = tb.SearchConfig(num_children=np.int64(3), c_lb=np.float32(2.0),
+                              seed=np.uint8(4))
+        assert cfg.validate() is cfg
