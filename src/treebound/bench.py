@@ -332,8 +332,12 @@ def _read_nn(path):
     missing = {"n", "h", "W1", "b1", "w2", "b2"} - set(data)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return data, ex.ReluNetWeights(n=data["n"], h=data["h"], w1=data["W1"],
-                                   b1=data["b1"], w2=data["w2"], b2=data["b2"])
+    try:
+        weights = ex.ReluNetWeights(n=data["n"], h=data["h"], w1=data["W1"],
+                                    b1=data["b1"], w2=data["w2"], b2=data["b2"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return data, weights
 
 
 def load_nn_weights(path):

@@ -14,10 +14,13 @@ and ``max(a, b)`` differentiates along its first argument on ties.
 
 Point evaluation follows IEEE doubles and never raises on finite input:
 division by zero, log of a non-positive value and sqrt of a negative
-value all produce NaN.  ``compile_function`` turns a tree into a plain
-Python function (with common-subexpression elimination) that is an
-order of magnitude faster than the tree walk and falls back to it
-whenever a domain error occurs.
+value all produce NaN.  Constant folding comes first: the constructors
+turn a product of a constant 0 and a non-constant factor, and a quotient
+whose numerator is the constant 0, into the constant 0, so ``0/0`` and
+``0*log(x0)`` evaluate to 0.0 everywhere.  ``compile_function`` turns a
+tree into a plain Python function (with common-subexpression
+elimination) that is an order of magnitude faster than the tree walk and
+falls back to it whenever a domain error occurs.
 
 Each operator kind is defined once, by its entry in the table ``_OPS``:
 its point rule, its interval rule over float endpoints, its point-kernel
@@ -33,11 +36,12 @@ form in ``unparse`` and, if binary, in the parser's ``_BINARY``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -140,37 +144,6 @@ class Expression:
             (n.kind, tuple(index[a] for a in n.args), n.payload, n.dims)
             for n in nodes),))
 
-    # arithmetic sugar so benchmark builders read naturally
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, k):
-        return pow_int(self, k)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Expression({unparse(self)!r}, dims={self.dims})"
 
@@ -181,14 +154,6 @@ def _unpickle(records):
     for kind, args, payload, dims in records:
         nodes.append(Expression(kind, [nodes[i] for i in args], payload, dims))
     return nodes[-1]
-
-
-def _coerce(value):
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, (int, float)):
-        return const(value)
-    raise TypeError(f"cannot use {type(value).__name__} in an expression")
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +739,18 @@ class ReluNetWeights:
     b2: float
 
     def __post_init__(self):
-        self.n = int(self.n)
-        self.h = int(self.h)
-        self.w1 = np.asarray(self.w1, dtype=float)
-        self.b1 = np.asarray(self.b1, dtype=float)
-        self.w2 = np.asarray(self.w2, dtype=float)
-        self.b2 = float(self.b2)
+        for name in ("n", "h"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            setattr(self, name, int(v))
+        array = partial(np.asarray, dtype=float)
+        for name, convert in (("w1", array), ("b1", array), ("w2", array),
+                              ("b2", float)):
+            try:
+                setattr(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ValueError(f"{name} must hold numbers: {err}") from None
         if self.n < 1 or self.h < 1:
             raise ValueError("network needs n >= 1 inputs and h >= 1 hidden units")
         if self.w1.shape != (self.h, self.n):
@@ -1131,38 +1102,34 @@ class CompiledObjective:
         self.expression = expression
         self.dims = expression.dims
         self._value = compile_function(expression)
-        self._grad = None
-        self._hess = None
-        self._interval = None
         self.total_evaluations = 0
-        self.sample_log = None  # optional list capturing points passed to value()
 
     def value(self, x):
         self.total_evaluations += 1
-        if self.sample_log is not None:
-            self.sample_log.append(np.array(x, dtype=float))
         return self._value(x)
 
     def gradient(self, x):
-        if self._grad is None:
-            self._grad = compile_vector(gradient(self.expression), self.dims)
         self.total_evaluations += 1
         return np.array(self._grad(x), dtype=float)
 
     def hessian_diagonal(self, x):
-        if self._hess is None:
-            self._hess = compile_vector(hessian_diagonal(self.expression),
-                                        self.dims)
         self.total_evaluations += 1
         return np.array(self._hess(x), dtype=float)
 
+    @cached_property
+    def _grad(self):
+        return compile_vector(gradient(self.expression), self.dims)
+
+    @cached_property
+    def _hess(self):
+        return compile_vector(hessian_diagonal(self.expression), self.dims)
+
+    @cached_property
     def interval_kernel(self):
         """``interval.compile_interval`` of the expression; not counted as
         an evaluation."""
-        if self._interval is None:
-            from .interval import compile_interval
-            self._interval = compile_interval(self.expression)
-        return self._interval
+        from .interval import compile_interval
+        return compile_interval(self.expression)
 
 
 def as_objective(f):

@@ -279,7 +279,7 @@ def _enclose(f, box):
         raise DimensionMismatch(
             f"expression over {f.dims} dimension(s), box has {box.dims}")
     if isinstance(f, CompiledObjective):
-        kernel = f.interval_kernel()
+        kernel = f.interval_kernel
     else:
         kernel = compile_interval(f)
     return kernel(box.lows.tolist(), box.highs.tolist())

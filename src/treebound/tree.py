@@ -117,7 +117,8 @@ class SearchConfig:
     def validate(self):
         for f in fields(self):
             # types as declared: an "int" field is a count, a "float" one
-            # any real number, a None default may stay unset; no bools
+            # a real number that is finite as a float, a None default may
+            # stay unset; no bools
             v = getattr(self, f.name)
             if v is None and f.default is None:
                 continue
@@ -127,10 +128,15 @@ class SearchConfig:
                 raise ValueError(
                     f"{f.name} must be "
                     f"{'an integer' if count else 'a real number'}, got {v!r}")
+            try:
+                finite = count or math.isfinite(v)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be finite")
         for name in ("c_lb", "c_v", "c_x"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if self.num_children is not None and self.num_children < 1:
             raise ValueError("num_children must be >= 1")
         if self.local_opt_budget < 0:
@@ -143,9 +149,8 @@ class SearchConfig:
             raise ValueError("root_child_cap must be >= 1")
         for name in ("step_budget", "eval_budget", "wall_clock_budget_ms"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ValueError(
-                    f"{name} must be finite and positive when set")
+            if v is not None and v <= 0:
+                raise ValueError(f"{name} must be positive when set")
         return self
 
     def resolve(self, dims):
@@ -384,7 +389,7 @@ def prune_root(root, config):
 # ---------------------------------------------------------------------------
 # main loop
 
-def optimize(f, omega, config=None, observer=None, sample_log=None):
+def optimize(f, omega, config=None, observer=None):
     """Minimize ``f`` (an Expression or a CompiledObjective) over the box
     ``omega``.
 
@@ -394,8 +399,8 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
     Evaluations are counted from the start of this call, so passing one
     CompiledObjective to several runs reuses its kernels without
     changing their traces.  ``observer(root, step)`` is called after
-    every iteration; ``sample_log``, if a list, receives every point
-    passed to the objective's value during this call.
+    every iteration.  To record the sampled points, wrap the objective's
+    ``value``.
     """
     config = (config or SearchConfig()).resolve(omega.dims)
     if f.dims != omega.dims:
@@ -411,34 +416,30 @@ def optimize(f, omega, config=None, observer=None, sample_log=None):
     timed = config.wall_clock_budget_ms is not None
     started = time.perf_counter()
     step = 0
-    obj.sample_log = sample_log
-    try:
-        while True:
-            step += 1
-            leaf = select(root, config)
-            children = expand(leaf, obj, config, rng)
-            learn(leaf, children, obj, config, rng, stats)
-            backup(leaf)
-            stats.pruned_nodes += prune_root(root, config)
+    while True:
+        step += 1
+        leaf = select(root, config)
+        children = expand(leaf, obj, config, rng)
+        learn(leaf, children, obj, config, rng, stats)
+        backup(leaf)
+        stats.pruned_nodes += prune_root(root, config)
 
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            evaluations = obj.total_evaluations - evals_before
-            trace.append(TraceRecord(step, evaluations,
-                                     elapsed_ms if timed else 0.0, root.y))
-            if observer is not None:
-                observer(root, step)
-            if config.step_budget is not None and step >= config.step_budget:
-                reason = "steps"
-                break
-            if (config.eval_budget is not None
-                    and evaluations >= config.eval_budget):
-                reason = "evals"
-                break
-            if timed and elapsed_ms >= config.wall_clock_budget_ms:
-                reason = "wall_clock"
-                break
-    finally:
-        obj.sample_log = None  # the log covers this call only
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        evaluations = obj.total_evaluations - evals_before
+        trace.append(TraceRecord(step, evaluations,
+                                 elapsed_ms if timed else 0.0, root.y))
+        if observer is not None:
+            observer(root, step)
+        if config.step_budget is not None and step >= config.step_budget:
+            reason = "steps"
+            break
+        if (config.eval_budget is not None
+                and evaluations >= config.eval_budget):
+            reason = "evals"
+            break
+        if timed and elapsed_ms >= config.wall_clock_budget_ms:
+            reason = "wall_clock"
+            break
 
     elapsed_ms = (time.perf_counter() - started) * 1e3
     best_x = None if root.x is None else np.array(root.x, dtype=float)

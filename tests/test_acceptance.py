@@ -197,15 +197,23 @@ def test_criterion_06_learn_newton_exactness():
             ok, detail)
 
 
-def test_criterion_07_completeness_proxy_bimodal():
+def test_criterion_07_completeness_proxy_bimodal(monkeypatch):
     f = ex.parse("min((x0 + 0.5)^2, (x0 - 0.5)^2 + 0.001)", 1)
     box = tb.BoxDomain.cube(-1.0, 1.0, 1)
+    log = []
+    value = ex.CompiledObjective.value
+
+    def logged_value(obj, x):
+        log.append(float(x[0]))
+        return value(obj, x)
+
+    monkeypatch.setattr(ex.CompiledObjective, "value", logged_value)
     ok = True
     for seed in SEEDS:
-        log = []
+        log.clear()
         cfg = tb.SearchConfig(step_budget=500, seed=seed)
-        tb.optimize(f, box, cfg, sample_log=log)
-        pts = np.array([p[0] for p in log])
+        tb.optimize(f, box, cfg)
+        pts = np.array(log)
         if not (np.any(pts < 0.0) and np.any(pts >= 0.0)):
             ok = False
             break

@@ -293,3 +293,20 @@ class TestNnFiles:
         with pytest.raises(ValueError, match=message) as err:
             bench.nn_problem(path)
         assert "bad-net.json" in str(err.value)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n", None, "n must be an integer"),
+        ("n", 4.7, "n must be an integer"),
+        ("h", "5", "h must be an integer"),
+        ("b2", None, "b2 must hold numbers"),
+        pytest.param("b2", 10**400, "b2 must hold numbers", id="b2-10**400"),
+        ("w2", {"a": 1}, "w2 must hold numbers"),
+    ])
+    def test_malformed_field_names_it(self, tmp_path, key, value, message):
+        payload = self._weights_payload(np.random.default_rng(10), n=2)
+        payload[key] = value
+        path = tmp_path / "bad-net.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message) as err:
+            bench.nn_problem(path)
+        assert "bad-net.json" in str(err.value)

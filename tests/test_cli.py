@@ -196,7 +196,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("bad", [{"c_lb": "a"}, {"seed": "x"},
                                      {"grad_samples": 2.5},
-                                     {"num_children": 2.5}])
+                                     {"num_children": 2.5},
+                                     {"c_lb": 10**400}])  # no float holds it
     def test_wrong_type_is_an_error_line(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(bad))

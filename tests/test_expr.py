@@ -449,11 +449,6 @@ class TestReluNet:
 
 
 class TestConstruction:
-    def test_operator_sugar(self):
-        x0, x1 = ex.var(0), ex.var(1)
-        f = 2.0 * x0 + x1 ** 2 - 1.0
-        assert ex.evaluate(f, [3.0, 4.0]) == 21.0
-
     def test_constant_folding(self):
         f = ex.add(ex.const(2.0), ex.const(3.0))
         assert f.kind == "const" and f.payload == 5.0

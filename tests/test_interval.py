@@ -69,6 +69,13 @@ class TestEvalInterval:
         iv = eval_interval(ex.parse("log(x0)", 1), BoxDomain([-2.0], [-1.0]))
         assert iv.poison
 
+    def test_overflowed_difference_poisons(self):
+        # exp overflows to [inf, inf] on both sides, and inf - inf is NaN
+        f = ex.parse("exp(x0) - exp(x1)", 2)
+        box = BoxDomain.cube(800.0, 900.0, 2)
+        assert eval_interval(f, box).poison
+        assert lower_bound(f, box) == -LOWER_BOUND_CLAMP
+
     def test_ackley_2d_encloses_grid(self):
         problem = make_ackley(2)
         f = problem.expression
@@ -272,12 +279,12 @@ class TestCompiledKernel:
     def test_objective_compiles_its_kernel_once_on_first_bound(self):
         f = ex.parse("x0 * x1 - cos(x1)", 2)
         obj = ex.as_objective(f)
-        assert obj._interval is None
+        assert "interval_kernel" not in vars(obj)
         box = BoxDomain.cube(-1.0, 1.0, 2)
         assert lower_bound(obj, box) == lower_bound(f, box)
-        kernel = obj.interval_kernel()
+        kernel = obj.interval_kernel
         lower_bound(obj, BoxDomain.cube(0.0, 1.0, 2))
-        assert obj.interval_kernel() is kernel
+        assert obj.interval_kernel is kernel
         assert obj.total_evaluations == 0
 
 

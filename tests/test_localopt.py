@@ -76,3 +76,12 @@ class TestLocalOpt:
         report = local_opt(f, np.array([-1.5]), box, 10)
         assert np.isnan(report.y)
         assert not report.converged
+
+    def test_non_finite_first_gradient_stops(self):
+        # sqrt is finite at 0 but its derivative is not
+        x0 = np.array([0.0])
+        report = local_opt(ex.parse("sqrt(x0)", 1), x0, BoxDomain([0.0], [1.0]),
+                           10)
+        assert report.evaluations == 2
+        assert not report.converged
+        assert np.array_equal(report.x, x0)
