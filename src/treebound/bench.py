@@ -143,12 +143,14 @@ def make_builtin(name, dims):
 
 
 def table_defaults(name, dims, base=None):
-    """Per-problem hyperparameter defaults: a tighter local budget (20)
-    for the shallow Michalewicz class.  The children per expansion follow
-    the dimension through ``SearchConfig.resolve``."""
+    """``base`` (default ``SearchConfig()``) with per-problem defaults:
+    only the shallow Michalewicz class (up to 50 dimensions) changes, to
+    a local budget of 20.  The children per expansion follow the
+    dimension through ``SearchConfig.resolve``."""
     cfg = base if base is not None else SearchConfig()
-    lo = 20 if (name == "michalewicz" and dims <= 50) else 50
-    return replace(cfg, local_opt_budget=lo)
+    if name == "michalewicz" and dims <= 50:
+        return replace(cfg, local_opt_budget=20)
+    return cfg
 
 
 # ---------------------------------------------------------------------------

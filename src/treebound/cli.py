@@ -41,7 +41,6 @@ def _read_config_overrides(path):
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    SearchConfig(**data).validate()
     return data
 
 
@@ -148,7 +147,7 @@ def _build_config(args, problem):
         config = replace(config, wall_clock_budget_ms=args.seconds * 1000.0)
     if args.evals is not None:
         config = replace(config, eval_budget=args.evals)
-    return config.validate()
+    return config
 
 
 def _format_point(x, limit=8):

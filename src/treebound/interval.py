@@ -88,29 +88,28 @@ _POISON = Interval.poisoned()
 class BoxDomain:
     """Axis-aligned box: one finite interval per dimension.
 
-    Boxes produced by :func:`partition` carry per-dimension upper-face
-    closure flags implementing the half-open membership convention: a
-    split face belongs to the piece on its upper side, while faces that
-    coincide with the parent's boundary stay closed.  This makes point
-    membership across the pieces a partition function.
+    A constructed box is closed.  :meth:`split` gives its lower piece an
+    open upper face on the split dimension (the half-open membership
+    convention: a split face belongs to the piece on its upper side), so
+    point membership across the pieces of :func:`partition` is a
+    partition function.
     """
 
     __slots__ = ("lows", "highs", "closed_hi")
 
-    def __init__(self, lows, highs, closed_hi=None):
-        lows = np.asarray(lows, dtype=float)
-        highs = np.asarray(highs, dtype=float)
+    def __init__(self, lows, highs):
+        try:
+            lows = np.array(lows, dtype=float)
+            highs = np.array(highs, dtype=float)
+        except OverflowError:  # an int too large for a float
+            raise ValueError("box bounds must be finite") from None
         if lows.ndim != 1 or lows.shape != highs.shape or lows.size < 1:
             raise ValueError("bounds must be equal-length 1-d sequences")
         if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
             raise ValueError("box bounds must be finite")
         if np.any(lows > highs):
             raise ValueError("box has lo > hi in some dimension")
-        if closed_hi is None:
-            closed_hi = np.ones(lows.size, dtype=bool)
-        else:
-            closed_hi = np.asarray(closed_hi, dtype=bool).copy()
-        self._adopt(lows.copy(), highs.copy(), closed_hi)
+        self._adopt(lows, highs, np.ones(lows.size, dtype=bool))
 
     def _adopt(self, lows, highs, closed_hi):
         """Take bound arrays already known to be valid, without checks or
@@ -125,7 +124,7 @@ class BoxDomain:
 
     @classmethod
     def cube(cls, lo, hi, dims):
-        return cls(np.full(dims, float(lo)), np.full(dims, float(hi)))
+        return cls([lo] * dims, [hi] * dims)
 
     @property
     def dims(self):

@@ -37,7 +37,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .expr import DimensionMismatch, as_objective
+from .expr import as_objective
 from .interval import BoxDomain, log_volume, lower_bound, partition
 from .localopt import local_opt
 
@@ -62,26 +62,26 @@ DEFAULT_STEP_BUDGET = 1000
 _GRAD_STEP_EPS = 1e-12
 _Y = attrgetter("y")
 _LB = attrgetter("lb")
+# the least value of each bounded field; an unset (None) field is exempt
+_LEAST = {"c_lb": 0, "c_v": 0, "c_x": 0, "num_children": 1,
+          "local_opt_budget": 0, "grad_samples": 1, "root_child_cap": 1,
+          "seed": 0}
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class TreeNode:
     """One node: best sample (x, y), box, lower bound, bound log-volume,
-    visit count, and ordered children."""
+    visit count, and ordered children.  Nodes compare by identity."""
 
-    __slots__ = ("parent", "children", "x", "y", "box", "lb", "log_vol",
-                 "visits", "is_learned")
-
-    def __init__(self, box, lb, log_vol, x=None, y=math.inf, parent=None,
-                 visits=0, is_learned=False):
-        self.parent = parent
-        self.children = []
-        self.x = x
-        self.y = y
-        self.box = box
-        self.lb = lb
-        self.log_vol = log_vol
-        self.visits = visits
-        self.is_learned = is_learned
+    box: BoxDomain
+    lb: float
+    log_vol: float
+    x: np.ndarray | None = None
+    y: float = math.inf
+    parent: TreeNode | None = None
+    visits: int = 0
+    is_learned: bool = False
+    children: list = field(default_factory=list, init=False)
 
     def __repr__(self):
         tag = "learned " if self.is_learned else ""
@@ -98,7 +98,9 @@ class SearchConfig:
     values (10/20/30 children for <=50 / <=100 / more dimensions, and
     ``dims + 1`` gradient samples); ``resolve`` fills them in.  At least
     one of the three budgets must be set before a run; if none is, the
-    run gets ``DEFAULT_STEP_BUDGET`` steps.
+    run gets ``DEFAULT_STEP_BUDGET`` steps.  Every construction, including
+    ``dataclasses.replace``, checks the values and raises ValueError on a
+    wrong type or an out-of-range value.
     """
 
     c_lb: float = 50.0
@@ -114,7 +116,7 @@ class SearchConfig:
     wall_clock_budget_ms: float | None = None
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             # types as declared: an "int" field is a count, a "float" one
             # a real number that is finite as a float, a None default may
@@ -134,28 +136,18 @@ class SearchConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("c_lb", "c_v", "c_x"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.num_children is not None and self.num_children < 1:
-            raise ValueError("num_children must be >= 1")
-        if self.local_opt_budget < 0:
-            raise ValueError("local_opt_budget must be >= 0")
+            least = _LEAST.get(f.name)
+            if least is not None and v < least:
+                raise ValueError(f"{f.name} must be >= {least}")
         if not 0.0 < self.delta_fraction <= 1.0:
             raise ValueError("delta_fraction must be in (0, 1]")
-        if self.grad_samples is not None and self.grad_samples < 1:
-            raise ValueError("grad_samples must be >= 1")
-        if self.root_child_cap < 1:
-            raise ValueError("root_child_cap must be >= 1")
         for name in ("step_budget", "eval_budget", "wall_clock_budget_ms"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive when set")
-        return self
 
     def resolve(self, dims):
         """Fill dimension-dependent defaults and ensure some budget is set."""
-        self.validate()
         cfg = self
         if cfg.num_children is None:
             cfg = replace(cfg, num_children=(
@@ -337,8 +329,7 @@ def learn(leaf, children, f, config, rng, stats=None):
     half = 0.5 * bj.widths
     b_star = BoxDomain(np.maximum(omega.lows, x_star - half),
                        np.minimum(omega.highs, x_star + half))
-    node = _new_node(obj, config, b_star, b_star.clip(x_star), root,
-                     learned=True)
+    node = _new_node(obj, config, b_star, x_star, root, learned=True)
     root.children.append(node)
     stats.learn_nodes += 1
     return node
@@ -403,9 +394,6 @@ def optimize(f, omega, config=None, observer=None):
     ``value``.
     """
     config = (config or SearchConfig()).resolve(omega.dims)
-    if f.dims != omega.dims:
-        raise DimensionMismatch(
-            f"expression over {f.dims} dimension(s), domain has {omega.dims}")
     obj = as_objective(f)
     evals_before = obj.total_evaluations
     rng = np.random.default_rng(config.seed)

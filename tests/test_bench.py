@@ -7,6 +7,7 @@ import pytest
 import treebound as tb
 from treebound import bench
 from treebound import expr as ex
+from treebound.cli import main
 from treebound.tree import TraceRecord
 
 from helpers import (
@@ -202,6 +203,14 @@ class TestTableDefaults:
         assert bench.table_defaults("michalewicz", 100).local_opt_budget == 50
         assert bench.table_defaults("ackley", 50).local_opt_budget == 50
 
+    def test_base_local_budget_kept(self):
+        base = tb.SearchConfig(local_opt_budget=7)
+        assert bench.table_defaults("ackley", 10, base).local_opt_budget == 7
+        assert bench.table_defaults("michalewicz", 100,
+                                    base).local_opt_budget == 7
+        assert bench.table_defaults("michalewicz", 10,
+                                    base).local_opt_budget == 20
+
     def test_shared_coefficients(self):
         cfg = bench.table_defaults("levy", 50)
         assert (cfg.c_lb, cfg.c_v, cfg.c_x) == (50.0, 0.5, 0.5)
@@ -293,6 +302,22 @@ class TestNnFiles:
         with pytest.raises(ValueError, match=message) as err:
             bench.nn_problem(path)
         assert "bad-net.json" in str(err.value)
+
+    @pytest.mark.parametrize("domain", [
+        [0, 10**400],
+        [[0, 1], [0, 10**400]],
+    ], ids=["pair", "per-dimension"])
+    def test_bound_too_large_for_a_float_is_an_error_line(self, tmp_path,
+                                                          capsys, domain):
+        payload = self._weights_payload(np.random.default_rng(10), n=2)
+        payload["domain"] = domain
+        path = tmp_path / "big-net.json"
+        path.write_text(json.dumps(payload))
+        code = main(["optimize", "--nn-weights", str(path), "--steps", "1",
+                     "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: box bounds must be finite\n"
 
     @pytest.mark.parametrize("key,value,message", [
         ("n", None, "n must be an integer"),

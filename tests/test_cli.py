@@ -60,6 +60,31 @@ class TestOptimizeCommand:
                      "--out", str(tmp_path / "r")])
         assert code == 0
 
+    def test_eval_budget_flag(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["optimize", "--fn", "ackley", "--dims", "2",
+                     "--evals", "50", "--out", str(out)]) == 0
+        summary = json.loads(
+            (out / "ackley-2d-seed0-summary.json").read_text())
+        assert summary["termination_reason"] == "evals"
+        assert summary["evaluations"] >= 50
+
+    def test_seconds_flag(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["optimize", "--fn", "ackley", "--dims", "2",
+                     "--seconds", "0.000001", "--out", str(out)]) == 0
+        summary = json.loads(
+            (out / "ackley-2d-seed0-summary.json").read_text())
+        assert summary["termination_reason"] == "wall_clock"
+
+    def test_negative_seed_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = main(["optimize", "--fn", "ackley", "--dims", "2",
+                     "--steps", "1", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_zero_dims_is_usage_error(self):
         assert main(["optimize", "--fn", "ackley", "--dims", "0",
                      "--steps", "1"]) == 2

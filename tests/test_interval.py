@@ -155,6 +155,10 @@ class TestPartition:
         parent = math.exp(log_volume(box))
         assert abs(total - parent) <= 1e-9 * parent
 
+    def test_no_pieces_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            partition(BoxDomain.cube(0.0, 1.0, 2), 0)
+
     def test_boundary_points_belong_to_exactly_one_piece(self):
         box = BoxDomain.cube(0.0, 1.0, 2)
         pieces = partition(box, 4)
@@ -307,12 +311,18 @@ class TestBoxDomain:
         assert left.closed_hi.tolist() == [True, False]
         assert right.closed_hi.tolist() == [True, True]
         for piece in (left, right):
-            assert piece == BoxDomain(piece.lows, piece.highs, piece.closed_hi)
+            assert piece == BoxDomain(piece.lows, piece.highs)
             for arr in (piece.lows, piece.highs, piece.closed_hi):
                 assert not arr.flags.writeable
         with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                        match="finite"):
             BoxDomain([1e308], [1.7e308]).split(0)
+
+    def test_bound_too_large_for_a_float_is_not_finite(self):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            BoxDomain([0.0], [10**400])
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            BoxDomain.cube(0, 10**400, 2)
 
     def test_clip_and_sample(self):
         box = BoxDomain.cube(-1.0, 1.0, 3)

@@ -42,6 +42,11 @@ class TestLocalOpt:
         with pytest.raises(ValueError, match="outside"):
             local_opt(f, np.array([2.0]), BoxDomain([-1.0], [1.0]), 10)
 
+    def test_negative_budget_rejected(self):
+        f = _sum_of_squares(1)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            local_opt(f, np.array([0.5]), BoxDomain([-1.0], [1.0]), -1)
+
     def test_monotone_feasible_and_within_budget(self):
         rng = np.random.default_rng(59)
         for _ in range(150):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import importlib
 import math
 
@@ -27,6 +28,19 @@ def _all_nodes(root):
         out.append(node)
         stack.extend(node.children)
     return out
+
+
+class TestTreeNode:
+    def test_slotted_record_compared_by_identity(self):
+        a = _node(y=1.0, lb=0.0, vol=0.0)
+        b = _node(y=1.0, lb=0.0, vol=0.0)
+        assert a != b and a == a
+        assert len({a, b}) == 2
+        assert a.children == [] and a.children is not b.children
+        assert (a.parent, a.is_learned) == (None, False)
+        assert not hasattr(a, "__dict__")
+        assert repr(a) == ("TreeNode(y=1, lb=0, V=0, visits=1, "
+                           "children=0)")
 
 
 class TestUctValue:
@@ -171,7 +185,9 @@ class TestExpand:
             (1.0, False, 2),
         ]
         for x, closed_hi, holder in cases:
-            box = tb.BoxDomain([-1.0], [1.0], closed_hi=[closed_hi])
+            # an open upper face comes from a split: [-1, 1) of [-1, 3]
+            box = (tb.BoxDomain([-1.0], [1.0]) if closed_hi
+                   else tb.BoxDomain([-1.0], [3.0]).split(0)[0])
             leaf = TreeNode(box, lower_bound(f, box), log_volume(box),
                             x=np.array([x]), y=-5.0)  # better than any child
             children = tb.expand(leaf, f, cfg, np.random.default_rng(3))
@@ -244,6 +260,14 @@ class TestLearn:
         assert node.parent is root
         assert root.box.encloses(node.x)
         assert node.box.widths == pytest.approx(grand[0].box.widths)
+
+    def test_empty_child_list_rejected(self):
+        f = ex.parse("x0^2", 1)
+        box = tb.BoxDomain.cube(-1.0, 1.0, 1)
+        root = TreeNode(box, lower_bound(f, box), log_volume(box))
+        with pytest.raises(ValueError, match="non-empty"):
+            tb.learn(root, [], f, tb.SearchConfig().resolve(1),
+                     np.random.default_rng(0))
 
     def test_no_finite_gradient_skips(self):
         # sqrt(x0) is NaN over the whole box
@@ -445,6 +469,14 @@ class TestOptimize:
                               tb.SearchConfig(step_budget=30, seed=6))
             assert res.root.lb <= 0.0 <= res.y
 
+    def test_wall_clock_budget_stops(self):
+        f = ex.parse("x0^2 + x1^2", 2)
+        res = tb.optimize(f, tb.BoxDomain.cube(-1.0, 1.0, 2),
+                          tb.SearchConfig(wall_clock_budget_ms=1e-3))
+        assert res.termination_reason == "wall_clock"
+        assert res.steps == 1
+        assert res.trace[-1].wall_ms > 0
+
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ex.DimensionMismatch):
             tb.optimize(ex.parse("x0", 1), tb.BoxDomain.cube(0.0, 1.0, 2))
@@ -551,16 +583,29 @@ class TestSearchConfig:
         {"c_lb": 10**400},
         {"c_v": -10**400},
         {"wall_clock_budget_ms": 10**400},
+        {"seed": -1},
+        {"grad_samples": 0},
     ])
     def test_validation_errors(self, bad):
         with pytest.raises(ValueError):
-            tb.SearchConfig(**bad).validate()
+            tb.SearchConfig(**bad)
 
     def test_huge_counts_accepted(self):
         cfg = tb.SearchConfig(step_budget=10**400, eval_budget=10**400)
-        assert cfg.validate() is cfg
+        assert (cfg.step_budget, cfg.eval_budget) == (10**400, 10**400)
 
     def test_numpy_numbers_accepted(self):
         cfg = tb.SearchConfig(num_children=np.int64(3), c_lb=np.float32(2.0),
-                              seed=np.uint8(4))
-        assert cfg.validate() is cfg
+                              seed=np.uint8(4)).resolve(2)
+        assert (cfg.num_children, cfg.c_lb, cfg.seed) == (3, 2.0, 4)
+
+    def test_checked_when_built_and_replaced(self):
+        with pytest.raises(ValueError, match="^c_lb must be >= 0$"):
+            tb.SearchConfig(c_lb=-1.0)
+        with pytest.raises(ValueError,
+                           match=r"^delta_fraction must be in \(0, 1\]$"):
+            tb.SearchConfig(delta_fraction=3.0)
+        with pytest.raises(ValueError, match="^num_children must be >= 1$"):
+            dataclasses.replace(tb.SearchConfig(), num_children=0)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            dataclasses.replace(tb.SearchConfig(), seed=-1)
