@@ -41,6 +41,7 @@ __all__ = [
     "make_michalewicz",
     "table_defaults",
     "aggregate_traces",
+    "run_one",
     "run_suite",
     "write_trace_csv",
     "load_expression_file",
@@ -206,8 +207,21 @@ def _finite_or_none(v):
     return float(v) if math.isfinite(v) else None
 
 
-def _summary(problem, result):
-    return {
+def _trace_path(out_dir, problem, seed):
+    return Path(out_dir) / f"{problem.label}-seed{seed}.csv"
+
+
+def run_one(problem, config, out_dir, objective=None):
+    """Run one search on ``objective`` (default: the problem's
+    expression) and write ``<label>-seed<k>.csv`` and
+    ``<label>-seed<k>-summary.json`` into ``out_dir``, made first.
+    Returns the ``SearchResult`` with ``root`` set to None, so a worker
+    process sends back a flat object, not the whole tree."""
+    path = _trace_path(out_dir, problem, config.seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    result = optimize(objective or problem.expression, problem.box, config)
+    write_trace_csv(path, result.trace)
+    _write_json(path.with_name(f"{path.stem}-summary.json"), {
         "problem": problem.label,
         "dims": problem.dims,
         "seed": result.config.seed,
@@ -219,49 +233,34 @@ def _summary(problem, result):
         "elapsed_ms": result.elapsed_ms,
         "config": asdict(result.config),
         "stats": asdict(result.stats),
-    }
-
-
-def write_run_summary(path, problem, result):
-    _write_json(path, _summary(problem, result))
-
-
-def _run_one(problem, config, seed, objective=None):
-    f = problem.expression if objective is None else objective
-    result = optimize(f, problem.box, replace(config, seed=seed))
-    return seed, result.trace, _summary(problem, result)
+        "trace_csv": path.name,
+    })
+    return replace(result, root=None)
 
 
 def run_suite(problems, config, seeds, out_dir, jobs=1):
-    """Run every (problem, seed) pair, writing one trace CSV and one
-    summary JSON per run plus one aggregate JSON per problem.  Returns
-    {problem label: AggregateCurve}.  Runs in one process share the
-    problem's compiled kernels."""
+    """Run every (problem, seed) pair with ``run_one`` and write one
+    aggregate JSON per problem; returns {label: AggregateCurve}.  Seeds
+    must be distinct, and each run's config is checked before the first
+    run makes ``out_dir``.  With ``jobs`` > 1 the runs go to worker
+    processes, else they share the problem's compiled kernels."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
     curves = {}
     for problem in problems:
         resolved = config.resolve(problem.dims)
+        configs = [replace(resolved, seed=s) for s in seeds]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                runs = list(pool.map(_run_one,
-                                     [problem] * len(seeds),
-                                     [resolved] * len(seeds),
-                                     seeds))
+                results = list(pool.map(run_one, [problem] * len(configs),
+                                        configs, [out_dir] * len(configs)))
         else:
             obj = ex.as_objective(problem.expression)
-            runs = [_run_one(problem, resolved, s, obj) for s in seeds]
-        traces = []
-        for seed, trace, summary in runs:
-            stem = f"{problem.label}-seed{seed}"
-            write_trace_csv(out / f"{stem}.csv", trace)
-            _write_json(out / f"{stem}-summary.json",
-                        dict(summary, trace_csv=f"{stem}.csv"))
-            traces.append(trace)
-        curve = aggregate_traces(traces)
-        _write_json(out / f"{problem.label}-aggregate.json", {
+            results = [run_one(problem, c, out_dir, obj) for c in configs]
+        curve = aggregate_traces([r.trace for r in results])
+        _write_json(Path(out_dir) / f"{problem.label}-aggregate.json", {
             "name": problem.name,
             "dims": problem.dims,
             "seeds": list(seeds),

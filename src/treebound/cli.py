@@ -23,7 +23,7 @@ import numpy as np
 from . import bench
 from .expr import as_objective
 from .interval import eval_interval
-from .tree import SearchConfig, optimize
+from .tree import SearchConfig
 
 
 class UsageError(ValueError):
@@ -162,17 +162,11 @@ def _cmd_optimize(args):
     config = _build_config(args, problem)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = optimize(problem.expression, problem.box, config)
-    stem = f"{problem.label}-seed{config.seed}"
-    trace_path = out / f"{stem}.csv"
-    bench.write_trace_csv(trace_path, result.trace)
-    bench.write_run_summary(out / f"{stem}-summary.json", problem, result)
+    result = bench.run_one(problem, config, Path(args.out))
     print(f"best y = {result.y!r} at x = {_format_point(result.x)}")
     print(f"steps = {result.steps}, evaluations = {result.evaluations}, "
           f"stopped by {result.termination_reason}")
-    print(f"trace: {trace_path}")
+    print(f"trace: {bench._trace_path(args.out, problem, config.seed)}")
     return 0
 
 
@@ -210,6 +204,8 @@ def _second_difference(obj, x, fx, d, h):
 
 
 def _cmd_diff_check(args):
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     problem = bench.load_expression_file(args.expr_file)
     obj = as_objective(problem.expression)
     rng = np.random.default_rng(args.seed)

@@ -11,6 +11,7 @@ reproduce node for node.  It keeps its own copy of the derivative rules,
 so the comparison also checks the rules of ``expr._OPS``.
 """
 
+import json
 import math
 import struct
 
@@ -281,3 +282,10 @@ def michalewicz_reference_grid(points_per_axis=2001):
     val = -(np.sin(x0) * np.sin(1.0 * x0 ** 2 / np.pi) ** 20
             + np.sin(x1) * np.sin(2.0 * x1 ** 2 / np.pi) ** 20)
     return float(val.min())
+
+
+def untimed_summary(path):
+    """A run's summary JSON without ``elapsed_ms``, the one timed key."""
+    summary = json.loads(path.read_text())
+    del summary["elapsed_ms"]
+    return summary

@@ -15,6 +15,7 @@ from helpers import (
     central_diff,
     levy_reference,
     michalewicz_reference_grid,
+    untimed_summary,
 )
 
 
@@ -174,6 +175,12 @@ class TestRunSuite:
         a = (tmp_path / "a" / "levy-2d-seed3.csv").read_bytes()
         b = (tmp_path / "b" / "levy-2d-seed3.csv").read_bytes()
         assert a == b
+        # worker processes write the same files as a run in this process
+        bench.run_suite([p], cfg, [3, 4], tmp_path / "c", jobs=2)
+        assert (tmp_path / "c" / "levy-2d-seed3.csv").read_bytes() == a
+        assert (untimed_summary(tmp_path / "c" / "levy-2d-seed3-summary.json")
+                == untimed_summary(tmp_path / "a"
+                                   / "levy-2d-seed3-summary.json"))
 
     def test_long_expression_in_worker_processes(self, tmp_path):
         # the pool pickles the problem; a 1,500-term chain must not pass
@@ -190,6 +197,17 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             bench.run_suite([bench.make_ackley(2)], tb.SearchConfig(), [],
                             tmp_path)
+
+    @pytest.mark.parametrize("seeds,message", [
+        ([0, -1], "seed must be >= 0"),
+        ([3, 3], "seeds must be distinct"),
+    ], ids=["negative", "repeated"])
+    def test_bad_seed_list_writes_nothing(self, tmp_path, seeds, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            bench.run_suite([bench.make_ackley(2)],
+                            tb.SearchConfig(step_budget=1), seeds, out)
+        assert not out.exists()
 
 
 class TestTableDefaults:

@@ -8,6 +8,8 @@ from treebound.cli import load_config, main
 from treebound import expr as ex
 from treebound.expr import unparse
 
+from helpers import untimed_summary
+
 
 @pytest.fixture
 def expr_file(tmp_path):
@@ -125,6 +127,34 @@ class TestSuiteCommand:
                      "--steps", "2", "--seeds", "0,x",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("seeds,message", [
+        ("0,-1", "seed must be >= 0"),
+        ("3,3", "seeds must be distinct"),
+    ], ids=["negative", "repeated"])
+    def test_bad_seed_is_an_error_line(self, tmp_path, capsys, seeds,
+                                       message):
+        out = tmp_path / "sout"
+        assert main(["suite", "--fn", "ackley", "--dims", "2",
+                     "--steps", "1", "--seeds", seeds,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_same_files_as_optimize(self, tmp_path):
+        run = ["--fn", "michalewicz", "--dims", "3", "--steps", "6"]
+        assert main(["optimize", *run, "--seed", "4",
+                     "--out", str(tmp_path / "opt")]) == 0
+        assert main(["suite", *run, "--seeds", "4",
+                     "--out", str(tmp_path / "suite")]) == 0
+        csvs = [(tmp_path / sub / "michalewicz-3d-seed4.csv").read_bytes()
+                for sub in ("opt", "suite")]
+        summaries = [untimed_summary(
+            tmp_path / sub / "michalewicz-3d-seed4-summary.json")
+            for sub in ("opt", "suite")]
+        assert csvs[0] == csvs[1]
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["trace_csv"] == "michalewicz-3d-seed4.csv"
+
 
 class TestNonFiniteSummary:
     @pytest.mark.filterwarnings("error")
@@ -186,6 +216,12 @@ class TestDiffCheckCommand:
         out = capsys.readouterr().out
         assert "hessian diagonal max rel err = 2.168e-07" in out
         assert "PASS" in out
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # the flag is checked before the (here missing) file is read
+        assert main(["diff-check", "--expr-file", str(tmp_path / "none.txt"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
 
     def test_wrong_derivative_rule_fails(self, tmp_path, capsys,
                                          monkeypatch):
