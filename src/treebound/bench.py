@@ -211,6 +211,11 @@ def _trace_path(out_dir, problem, seed):
     return Path(out_dir) / f"{problem.label}-seed{seed}.csv"
 
 
+def _aggregate_path(out_dir, problem):
+    """Where ``run_suite`` writes the aggregate JSON of ``problem``."""
+    return Path(out_dir) / f"{problem.label}-aggregate.json"
+
+
 def run_one(problem, config, out_dir, objective=None):
     """Run one search on ``objective`` (default: the problem's
     expression) and write ``<label>-seed<k>.csv`` and
@@ -241,13 +246,17 @@ def run_one(problem, config, out_dir, objective=None):
 def run_suite(problems, config, seeds, out_dir, jobs=1):
     """Run every (problem, seed) pair with ``run_one`` and write one
     aggregate JSON per problem; returns {label: AggregateCurve}.  Seeds
-    must be distinct, and each run's config is checked before the first
-    run makes ``out_dir``.  With ``jobs`` > 1 the runs go to worker
-    processes, else they share the problem's compiled kernels."""
+    and problem labels must be distinct, as they name the files, and each
+    run's config is checked before the first run makes ``out_dir``.  With
+    ``jobs`` > 1 the runs go to worker processes, else they share the
+    problem's compiled kernels."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
+    problems = list(problems)
+    if len({p.label for p in problems}) != len(problems):
+        raise ValueError("problem labels must be distinct")
     curves = {}
     for problem in problems:
         resolved = config.resolve(problem.dims)
@@ -260,7 +269,7 @@ def run_suite(problems, config, seeds, out_dir, jobs=1):
             obj = ex.as_objective(problem.expression)
             results = [run_one(problem, c, out_dir, obj) for c in configs]
         curve = aggregate_traces([r.trace for r in results])
-        _write_json(Path(out_dir) / f"{problem.label}-aggregate.json", {
+        _write_json(_aggregate_path(out_dir, problem), {
             "name": problem.name,
             "dims": problem.dims,
             "seeds": list(seeds),

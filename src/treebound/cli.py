@@ -184,7 +184,7 @@ def _cmd_suite(args):
     curve = curves[problem.label]
     print(f"{problem.label}: {curve.seed_count} seed(s), "
           f"final best {curve.mean[-1]!r} +/- {curve.std[-1]!r}")
-    print(f"aggregate: {Path(args.out) / (problem.label + '-aggregate.json')}")
+    print(f"aggregate: {bench._aggregate_path(args.out, problem)}")
     return 0
 
 

@@ -24,7 +24,8 @@ falls back to it whenever a domain error occurs.
 
 Each operator kind is defined once, by its entry in the table ``_OPS``:
 its point rule, its interval rule over float endpoints, its point-kernel
-snippet, its derivative rule, and its name and arity in the parser's
+snippet, for the cheap kinds the interval-kernel line that computes the
+rule inline, its derivative rule, and its name and arity in the parser's
 grammar.  The evaluators, ``differentiate``, both kernel generators
 (here and in ``interval.py``) and the parser read that table, so adding
 an operator means adding one ``_OPS`` entry.  Two more places may need
@@ -542,6 +543,65 @@ def _istep(alo, ahi):
 
 
 # ---------------------------------------------------------------------------
+# inline interval lines (``_Op.inline``): each gives its rule's exact bits
+# and raises ``_Poison`` exactly when the rule does
+
+def _finite_const(pair):
+    """The value of an operand that is a finite constant, else None; in
+    the interval kernel only a constant has equal lo and hi names."""
+    lo, hi = pair
+    if lo != hi:
+        return None
+    c = float(lo)
+    return c if math.isfinite(c) else None
+
+
+def _sum_line(l, h, lo, hi, a, b):
+    """``l, h = lo, hi`` for add or sub, poisoned as by ``_mk``.  With
+    ordered operands rounding keeps ``lo <= hi``, so that test fails only
+    on NaN (``inf - inf``), and ``_mk``'s swap never happens.  A finite
+    constant operand rules NaN out."""
+    if _finite_const(a) is not None or _finite_const(b) is not None:
+        return f"{l}, {h} = {lo}, {hi}"
+    return f"if not ({l} := {lo}) <= ({h} := {hi}): raise _Poison"
+
+
+def _pick_line(l, h, a, b, cmp):
+    """Endpoint-wise max (``cmp`` ">") or min ("<") with the tie rule of
+    Python's ``max(x, y)``: ``y if y > x else x``."""
+    return (f"{l}, {h} = {b[0]} if {b[0]} {cmp} {a[0]} else {a[0]}, "
+            f"{b[1]} if {b[1]} {cmp} {a[1]} else {a[1]}")
+
+
+def _scale_line(l, h, a, b):
+    """Product with a finite, nonzero constant ``c``; None otherwise.
+
+    ``_imul``'s four products are then ``p = c*lo`` and ``q = c*hi``,
+    twice each, where ``_prod`` makes a zero side's product 0.0, and its
+    ``min`` and ``max`` keep the first of equal values.  The result is
+    ``[p, q if q > p else p]`` for ``c > 0`` and ``[q if q < p else p, p]``
+    for ``c < 0``; the tie matters where one product underflows to -0.0
+    and the other is 0.0.  The zero rule needs no test: ``x + 0.0`` and
+    ``0.0 - x`` are 0.0 for a zero ``x``, else exactly ``x`` and ``-x``,
+    so ``c * (x + 0.0)`` for ``c > 0`` and ``-c * (0.0 - x)`` for
+    ``c < 0`` equal ``_prod(c, x)``."""
+    for k, x in ((a, b), (b, a)):
+        c = _finite_const(k)
+        if c:
+            break
+    else:
+        return None
+    if c > 0:
+        p, q = (f"{c!r} * ({end} + 0.0)" for end in x)
+        first, other, cmp = l, h, ">"
+    else:
+        p, q = (f"{-c!r} * (0.0 - {end})" for end in x)
+        first, other, cmp = h, l, "<"
+    return (f"{other} = {other} if ({other} := {q}) {cmp} ({first} := {p}) "
+            f"else {first}")
+
+
+# ---------------------------------------------------------------------------
 # the operator table
 
 class _Op(NamedTuple):
@@ -553,12 +613,16 @@ class _Op(NamedTuple):
     maps float ``(lo, hi)`` endpoints to the result's ``(lo, hi)`` and
     raises ``_Poison`` when the real image is empty.  ``kernel`` maps the
     operands' names in generated code to the point kernel's expression,
-    which may raise on a domain error.  ``derive(u, v, du, dv, k)``
-    builds the derivative from the operands, their derivatives (``v`` and
-    ``dv`` are None for a unary kind) and the payload.  ``call`` builds
-    the node for ``kind(...)`` in the parser's grammar, with ``arity``
-    arguments; it is None for operators written as symbols and for
-    ``step``.
+    which may raise on a domain error.  ``inline(l, h, *operands)`` is
+    its counterpart in the interval kernel, None for the kinds whose rule
+    is always called: it maps the result's endpoint names and the
+    operands' ``(lo, hi)`` name pairs to one line computing exactly what
+    ``interval`` does, or to None where the rule must be called.
+    ``derive(u, v, du, dv, k)`` builds the derivative from the operands,
+    their derivatives (``v`` and ``dv`` are None for a unary kind) and
+    the payload.  ``call`` builds the node for ``kind(...)`` in the
+    parser's grammar, with ``arity`` arguments; it is None for operators
+    written as symbols and for ``step``.
     """
 
     arity: int
@@ -567,6 +631,7 @@ class _Op(NamedTuple):
     kernel: Callable
     derive: Callable
     call: Callable | None = None
+    inline: Callable | None = None
 
 
 def _d_select(sel, du, dv):
@@ -583,17 +648,23 @@ class _Table(dict):
 
 _OPS = _Table({
     "add": _Op(2, operator.add, _iadd, lambda a, b: f"{a} + {b}",
-               lambda u, v, du, dv, k: add(du, dv)),
+               lambda u, v, du, dv, k: add(du, dv),
+               inline=lambda l, h, a, b: _sum_line(
+                   l, h, f"{a[0]} + {b[0]}", f"{a[1]} + {b[1]}", a, b)),
     "sub": _Op(2, operator.sub, _isub, lambda a, b: f"{a} - ({b})",
-               lambda u, v, du, dv, k: sub(du, dv)),
+               lambda u, v, du, dv, k: sub(du, dv),
+               inline=lambda l, h, a, b: _sum_line(
+                   l, h, f"{a[0]} - {b[1]}", f"{a[1]} - {b[0]}", a, b)),
     "mul": _Op(2, operator.mul, _imul, lambda a, b: f"{a} * {b}",
-               lambda u, v, du, dv, k: add(mul(du, v), mul(u, dv))),
+               lambda u, v, du, dv, k: add(mul(du, v), mul(u, dv)),
+               inline=_scale_line),
     "div": _Op(2, _nan_on_error(operator.truediv), _idiv,
                lambda a, b: f"{a} / ({b})",
                lambda u, v, du, dv, k: div(sub(mul(du, v), mul(u, dv)),
                                            pow_int(v, 2))),
     "neg": _Op(1, operator.neg, _ineg, lambda a: f"-({a})",
-               lambda u, v, du, dv, k: neg(du)),
+               lambda u, v, du, dv, k: neg(du),
+               inline=lambda l, h, a: f"{l}, {h} = -{a[1]}, -{a[0]}"),
     # parenthesized base: unary minus binds looser than **
     "pow": _Op(1, _ref_pow, _ipow,
                lambda a, k: f"{a} * {a}" if k == 2 else f"({a}) ** {k}",
@@ -621,10 +692,12 @@ _OPS = _Table({
     # step(u - v) is 1 on the first argument's branch, ties included
     "max": _Op(2, _fmax, _imax, lambda a, b: f"_fmax({a}, {b})",
                lambda u, v, du, dv, k: _d_select(_step(sub(u, v)), du, dv),
-               maximum),
+               maximum,
+               inline=lambda l, h, a, b: _pick_line(l, h, a, b, ">")),
     "min": _Op(2, _fmin, _imin, lambda a, b: f"_fmin({a}, {b})",
                lambda u, v, du, dv, k: _d_select(_step(sub(v, u)), du, dv),
-               minimum),
+               minimum,
+               inline=lambda l, h, a, b: _pick_line(l, h, a, b, "<")),
     "step": _Op(1, _ref_step, _istep, lambda a: f"_step({a})",
                 lambda u, v, du, dv, k: const(0.0)),
 })

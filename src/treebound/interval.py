@@ -9,8 +9,11 @@ outward slack of ``1e-12 * (1 + |bound|)`` when asserting exactness.
 Each operator's interval rule, a function over the float endpoints of
 its operands, is part of its entry in the operator table ``expr._OPS``,
 next to its point rule.  ``compile_interval`` turns an expression into a
-straight-line kernel that calls those rules, using the CSE and node
-ordering of the point kernels (``expr._codegen``).  A
+straight-line kernel, using the CSE and node ordering of the point
+kernels (``expr._codegen``).  The kernel computes add, sub, neg, max,
+min and the product with a finite nonzero constant inline, with the
+rule's exact bits (the ``inline`` snippets of ``_OPS``), and calls the
+rule of every other operator.  A
 ``CompiledObjective`` compiles its kernel on the first bound and keeps
 it, so ``eval_interval`` and ``lower_bound`` accept either an Expression
 (compiled for that call) or a CompiledObjective.
@@ -227,7 +230,9 @@ def partition(box, k):
 
 class _IntervalCode:
     """Snippets of the interval kernel for ``expr._codegen``: each node is
-    a pair of float locals, each operator one call of its rule."""
+    a pair of float locals, or a constant's repr twice, and each operator
+    one line, its ``inline`` snippet where it has one, else a call of its
+    rule."""
 
     params = "lo, hi"
     namespace = {"inf": _INF, "_Poison": _Poison,
@@ -247,12 +252,15 @@ class _IntervalCode:
 
     @staticmethod
     def op(k, payload, args, temp):
-        _OPS[k]  # an unknown kind raises ExpressionError here
-        operands = [end for pair in args for end in pair]
-        if payload is not None:
-            operands.append(repr(payload))
-        return ((f"{temp}l", f"{temp}h"),
-                [f"{temp}l, {temp}h = _{k}({', '.join(operands)})"])
+        l, h = f"{temp}l", f"{temp}h"
+        inline = _OPS[k].inline  # an unknown kind raises ExpressionError
+        line = inline and inline(l, h, *args)
+        if not line:
+            operands = [end for pair in args for end in pair]
+            if payload is not None:
+                operands.append(repr(payload))
+            line = f"{l}, {h} = _{k}({', '.join(operands)})"
+        return (l, h), [line]
 
     @staticmethod
     def result(names):

@@ -209,6 +209,20 @@ class TestRunSuite:
                             tb.SearchConfig(step_budget=1), seeds, out)
         assert not out.exists()
 
+    def test_repeated_label_writes_nothing(self, tmp_path):
+        # two files named f.txt give both problems the label f-1d, so the
+        # second would overwrite the first's files
+        problems = []
+        for sub, body in (("a", "x0^2"), ("b", "(x0 - 0.5)^2 + 3")):
+            path = tmp_path / sub / "f.txt"
+            path.parent.mkdir()
+            path.write_text(f"dims: 1\ndomain: [-1, 1] x 1\n{body}\n")
+            problems.append(bench.load_expression_file(path))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="problem labels must be distinct"):
+            bench.run_suite(problems, tb.SearchConfig(step_budget=2), [0], out)
+        assert not out.exists()
+
 
 class TestTableDefaults:
     def test_children_scale_with_dims(self):

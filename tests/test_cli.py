@@ -121,6 +121,9 @@ class TestSuiteCommand:
         assert (out / "ackley-2d-aggregate.json").exists()
         agg = json.loads((out / "ackley-2d-aggregate.json").read_text())
         assert agg["seeds"] == [0, 1]
+        # the path the CLI prints is the file run_suite wrote
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed == f"aggregate: {out / 'ackley-2d-aggregate.json'}"
 
     def test_bad_seed_list(self, tmp_path):
         assert main(["suite", "--fn", "ackley", "--dims", "2",

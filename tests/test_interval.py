@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treebound import (
     BoxDomain,
@@ -14,7 +16,8 @@ from treebound import (
     partition,
 )
 from treebound import expr as ex
-from treebound.interval import LOWER_BOUND_CLAMP
+from treebound.expr import _OPS, _Poison
+from treebound.interval import LOWER_BOUND_CLAMP, compile_interval
 
 from helpers import (
     edge_expressions,
@@ -218,6 +221,15 @@ def _sub_boxes(rng, box, count):
         yield BoxDomain(np.minimum(a, b), np.maximum(a, b))
 
 
+def _bits(compute):
+    """``interval_bits`` of ``compute()``'s (lo, hi), or of the poisoned
+    enclosure when it raises ``_Poison``."""
+    try:
+        return interval_bits(*compute(), False)
+    except _Poison:
+        return interval_bits(-math.inf, math.inf, True)
+
+
 class TestCompiledKernel:
     """The compiled kernel against a plain walk over the same rules."""
 
@@ -245,6 +257,57 @@ class TestCompiledKernel:
             for box in itertools.product(sides, repeat=3):
                 lows, highs = zip(*box)
                 assert self._same(f, BoxDomain(lows, highs))
+
+    def test_inline_rules_at_edges_match_reference_walk(self):
+        # the kernel's own result, not eval_interval's, which would turn
+        # a NaN the kernel failed to poison into a poisoned enclosure
+        def same(kernel, f, box):
+            return (_bits(lambda: kernel(box.lows.tolist(),
+                                         box.highs.tolist()))
+                    == interval_bits(*reference_interval(f, box)))
+
+        x0, x1 = ex.var(0), ex.var(1)
+        tiny = 5e-324
+        # a constant on either side with either sign; subnormal and tiny
+        # constants and sides, where c*x underflows to -0.0, and huge ones,
+        # where it overflows
+        consts = [2.0, -3.0, 0.5, tiny, -tiny, 1e-300, -1e-300, 1e300,
+                  -1e300]
+        cases = []
+        for c in map(ex.const, consts):
+            cases += [ex.mul(c, x0), ex.mul(x0, c), ex.add(c, x0),
+                      ex.add(x0, c), ex.sub(c, x0), ex.sub(x0, c),
+                      ex.maximum(c, x0), ex.minimum(x0, c),
+                      ex.mul(c, ex.mul(x0, x1)), ex.add(ex.mul(c, x0), x1)]
+        ends = [-1e300, -1.0, -1e-300, -tiny, -0.0, 0.0, tiny, 1e-300, 1.0,
+                1e300]
+        sides = [(lo, hi) for lo in ends for hi in ends if lo <= hi]
+        x1_sides = [(-1.0, 1.0), (-tiny, -0.0), (0.0, 1e-300), (1e300, 1e300)]
+        for f in cases:
+            f = ex.with_dims(f, 2)
+            kernel = compile_interval(f)
+            for (a, b), (c, d) in itertools.product(sides, x1_sides):
+                assert same(kernel, f, BoxDomain([a, c], [b, d]))
+        # exp(1000*x) overflows to [inf, inf]; inf - inf in an add or sub
+        # must poison, also where a max or an infinite constant follows
+        big0, big1 = (ex.exp(ex.mul(ex.const(1000.0), x)) for x in (x0, x1))
+        overflow = [ex.sub(big0, big1), ex.add(big0, ex.neg(big1)),
+                    ex.sub(x1, big0), ex.add(big0, x1),
+                    ex.sub(ex.neg(big0), ex.neg(big1)),
+                    ex.sub(ex.mul(ex.const(3.0), big0), ex.const(2.0)),
+                    ex.maximum(ex.const(0.0), ex.sub(big0, big1)),
+                    ex.add(ex.const(math.inf), ex.neg(big0)),
+                    ex.sub(big1, ex.const(math.inf))]
+        poisoned = 0
+        for f in overflow:
+            f = ex.with_dims(f, 2)
+            kernel = compile_interval(f)
+            for box in (BoxDomain([1.0, 1.0], [2.0, 2.0]),
+                        BoxDomain([-1.0, 1.0], [2.0, 2.0]),
+                        BoxDomain([1.0, -2.0], [2.0, 0.0])):
+                assert same(kernel, f, box)
+                poisoned += reference_interval(f, box)[2]
+        assert poisoned >= 8
 
     def test_relu_net_matches_reference_walk(self):
         # the network of acceptance criterion 9: every hidden unit reuses
@@ -290,6 +353,48 @@ class TestCompiledKernel:
         lower_bound(obj, BoxDomain.cube(0.0, 1.0, 2))
         assert obj.interval_kernel is kernel
         assert obj.total_evaluations == 0
+
+
+# ordered endpoints: any two non-NaN doubles, lower first, with signed
+# zeros, the smallest subnormals and infinities drawn often
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf,
+                                     -math.inf]),
+                    st.floats(allow_nan=False))
+_ENDS = st.lists(_FLOATS, min_size=2, max_size=2).map(sorted)
+
+
+class TestInlineRules:
+    """The kinds that the interval kernel computes inline, each as one
+    node in a kernel, against its rule in ``_OPS``.  The nodes are built
+    directly, so no constant folding replaces them."""
+
+    @pytest.mark.parametrize("kind", ["add", "sub", "mul", "max", "min"])
+    @settings(deadline=None, database=None, max_examples=300)
+    @given(a=_ENDS, b=_ENDS, c=_FLOATS,
+           side=st.sampled_from(["none", "left", "right"]))
+    # ties between signed zeros, where c*x underflows to -0.0 next to a
+    # 0.0 product, and between the operands of max and min
+    @example(a=[-5e-324, 0.0], b=[-5e-324, 0.0], c=5e-324, side="left")
+    @example(a=[0.0, 5e-324], b=[0.0, 1.0], c=-5e-324, side="right")
+    @example(a=[0.0, 0.0], b=[-0.0, -0.0], c=1.0, side="none")
+    def test_binary_kind_matches_its_rule(self, kind, a, b, c, side):
+        x0, x1 = ex.var(0), ex.var(1)
+        if side == "left":
+            args, operands = (ex.const(c), x1), (c, c, *b)
+        elif side == "right":
+            args, operands = (x0, ex.const(c)), (*a, c, c)
+        else:
+            args, operands = (x0, x1), (*a, *b)
+        kernel = compile_interval(ex.Expression(kind, args, dims=2))
+        assert (_bits(lambda: kernel([a[0], b[0]], [a[1], b[1]]))
+                == _bits(lambda: _OPS[kind].interval(*operands)))
+
+    @settings(deadline=None, database=None, max_examples=300)
+    @given(a=_ENDS)
+    def test_neg_matches_its_rule(self, a):
+        kernel = compile_interval(ex.Expression("neg", (ex.var(0),), dims=1))
+        assert (_bits(lambda: kernel([a[0]], [a[1]]))
+                == _bits(lambda: _OPS["neg"].interval(*a)))
 
 
 class TestBoxDomain:
