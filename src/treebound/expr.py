@@ -19,8 +19,9 @@ turn a product of a constant 0 and a non-constant factor, and a quotient
 whose numerator is the constant 0, into the constant 0, so ``0/0`` and
 ``0*log(x0)`` evaluate to 0.0 everywhere.  ``compile_function`` turns a
 tree into a plain Python function (with common-subexpression
-elimination) that is an order of magnitude faster than the tree walk and
-falls back to it whenever a domain error occurs.
+elimination, and each temporary used once written inline where it is
+used) that is an order of magnitude faster than the tree walk and falls
+back to it whenever a domain error occurs.
 
 Each operator kind is defined once, by its entry in the table ``_OPS``:
 its point rule, its interval rule over float endpoints, its point-kernel
@@ -1048,8 +1049,14 @@ def unparse(f):
 # ---------------------------------------------------------------------------
 # compilation to plain Python functions
 
+# operand slots of the point-kernel templates, ``str.format`` fields
+_SLOTS = ("{0}", "{1}")
+
+
 class _PointCode:
-    """Snippets of the point kernels: one float local per node."""
+    """Snippets of the point kernels: each variable a float local, each
+    operator node a fold line ``(temp, template, arg_names)``, where
+    ``template`` is the node's snippet over the slots ``_SLOTS``."""
 
     params = "x"
     # the functions that the kernel snippets of ``_OPS`` call by name
@@ -1069,13 +1076,18 @@ class _PointCode:
 
     @staticmethod
     def op(k, payload, args, temp):
+        slots = _SLOTS[:len(args)]
         if payload is not None:
-            args += (payload,)
-        return temp, [f"{temp} = {_OPS[k].kernel(*args)}"]
+            slots += (payload,)
+        return temp, [(temp, _OPS[k].kernel(*slots), args)]
 
     @staticmethod
     def result(names):
         return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
+
+
+# brackets a folded operand may nest; CPython's tokenizer stops at 200
+_FOLD_DEPTH = 40
 
 
 def _codegen(roots, name, code=_PointCode):
@@ -1085,6 +1097,15 @@ def _codegen(roots, name, code=_PointCode):
     ``op(kind, payload, arg_names, temp)`` computes an operator node, each
     returning (name, lines); ``result(root_names)`` is the returned
     expression.  Names may be any hashable value, since they key the CSE.
+
+    A line may also be a fold line ``(temp, template, arg_names)``.  It is
+    written in parentheses into the one expression that references
+    ``temp``, where the emitted text (a root in the return included)
+    references it exactly once; so pow's ``a * a`` keeps ``a`` named.  A
+    fold only moves text: every operation and the order of every binary
+    operation stay, so results are those of one line per node.  Past
+    ``_FOLD_DEPTH`` brackets, counting those the snippets add, the node
+    keeps its line ``temp = ...`` instead.
     """
     names = {}
     cse = {}
@@ -1108,9 +1129,39 @@ def _codegen(roots, name, code=_PointCode):
             lines.extend(body)
             cse[key] = hit
         names[node] = hit
-    ret = code.result([names[r] for r in roots])
+    root_names = [names[r] for r in roots]
+    uses = {}
+    for n in root_names:
+        uses[n] = uses.get(n, 0) + 1
+    for line in lines:
+        if type(line) is tuple:
+            template = line[1]
+            for slot, a in zip(_SLOTS, line[2]):
+                uses[a] = uses.get(a, 0) + template.count(slot)
+    folded = {}  # temp -> (text, bracket depth) of a fold not yet written
+    out = []
+    for line in lines:
+        if type(line) is not tuple:
+            out.append(line)
+            continue
+        temp, template, args = line
+        texts, depth = [], 0
+        for a in args:
+            if a in folded:
+                a, d = folded.pop(a)
+                if d > depth:
+                    depth = d
+            texts.append(a)
+        text = template.format(*texts)
+        depth += 1 + template.count("(")
+        if uses[temp] == 1 and depth <= _FOLD_DEPTH:
+            folded[temp] = f"({text})", depth
+        else:
+            out.append(f"{temp} = {text}")
+    ret = code.result([folded.pop(n)[0] if n in folded else n
+                       for n in root_names])
     src = (f"def {name}({code.params}):\n"
-           + "".join(f"    {line}\n" for line in lines)
+           + "".join(f"    {line}\n" for line in out)
            + f"    return {ret}\n")
     ns = dict(code.namespace)
     exec(compile(src, f"<compiled {name}>", "exec"), ns)

@@ -17,7 +17,9 @@ A change that is meant to alter searches re-pins the files on purpose:
 
     PYTHONPATH=src python tests/golden.py
 
-writes every golden file from the treebound on the path.
+writes every golden file whose content differs from what the treebound
+on the path gives, leaving the others untouched (version line included),
+and prints the trace files and kernel labels that changed.
 """
 
 import hashlib
@@ -69,7 +71,6 @@ CASES = {
 }
 
 
-KERNEL_FILE = GOLDEN_DIR / "kernels.sha256"
 KERNEL_PROBLEMS = {
     **{f"{name}-{dims}d": (lambda name=name, dims=dims:
                            bench.make_builtin(name, dims).expression)
@@ -93,9 +94,13 @@ def kernel_hashes(name):
             for kernel, src in zip(KERNELS, sources, strict=True)}
 
 
+def kernel_file():
+    return GOLDEN_DIR / "kernels.sha256"
+
+
 def read_kernel_hashes():
     pairs = (line.split("  ", 1)
-             for line in KERNEL_FILE.read_text().splitlines())
+             for line in kernel_file().read_text().splitlines())
     return {label: digest for digest, label in pairs}
 
 
@@ -121,16 +126,26 @@ def path_of(name):
 
 
 def main():
+    """Write each golden file whose content differs from this run's, and
+    print the trace files and kernel labels that changed."""
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name in CASES:
-        path_of(name).write_bytes((version_line() + render(name)).encode())
-        print(f"wrote {path_of(name)}")
+        path, text = path_of(name), render(name)
+        if path.exists() and path.read_text().split("\n", 1)[1:] == [text]:
+            continue
+        path.write_bytes((version_line() + text).encode())
+        print(f"wrote {path}")
+    old = read_kernel_hashes() if kernel_file().exists() else {}
     hashes = {}
     for name in KERNEL_PROBLEMS:
         hashes.update(kernel_hashes(name))
-    KERNEL_FILE.write_text("".join(f"{digest}  {label}\n"
-                                   for label, digest in hashes.items()))
-    print(f"wrote {KERNEL_FILE}")
+    if hashes != old:
+        kernel_file().write_text("".join(f"{digest}  {label}\n"
+                                         for label, digest in hashes.items()))
+        print(f"wrote {kernel_file()}")
+        for label in sorted(hashes.keys() | old.keys()):
+            if hashes.get(label) != old.get(label):
+                print(f"  changed {label}")
     return 0
 
 

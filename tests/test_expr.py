@@ -1,3 +1,4 @@
+import ast
 import copy
 import itertools
 import math
@@ -5,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treebound as tb
 from treebound import bench, interval, localopt, tree
@@ -12,6 +15,7 @@ from treebound import expr as ex
 from treebound import make_ackley, make_levy
 from treebound.bench import make_builtin
 
+import golden
 from helpers import (
     central_diff,
     edge_expressions,
@@ -397,6 +401,108 @@ class TestKernelInputs:
             ex.compile_function(f)(x)
         with pytest.raises(ex.DimensionMismatch):
             ex.compile_vector((f, ex.var(0)), 3)(x)
+
+
+def _nesting(src):
+    """Deepest bracket nesting of ``src``; CPython's tokenizer allows 200."""
+    depth = deepest = 0
+    for ch in src:
+        if ch in "([{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in ")]}":
+            depth -= 1
+    return deepest
+
+
+def _operations(src):
+    """(BinOp, UnaryOp, Call) node counts of a kernel source."""
+    kinds = [type(n) for n in ast.walk(ast.parse(src))]
+    return tuple(kinds.count(t) for t in (ast.BinOp, ast.UnaryOp, ast.Call))
+
+
+def _mixed_chain(depth):
+    """``depth`` nested neg, sub and max nodes over x0 and x1."""
+    x0, x1, two = ex.var(0), ex.var(1), ex.const(2.0)
+    steps = [ex.neg, lambda e: ex.sub(e, x1), lambda e: ex.maximum(x0, e),
+             lambda e: ex.sub(two, e)]
+    e = ex.sin(x0)
+    for i in range(depth):
+        e = steps[i % 4](e)
+    return ex.with_dims(e, 2)
+
+
+def _long_sum(terms):
+    """A parsed chain of ``terms`` terms joined by + and -."""
+    atoms = ["x0", "x1", "0.5", "x2"]
+    return ex.parse(atoms[0] + "".join(f" {'+-'[i % 2]} {atoms[i % 4]}"
+                                       for i in range(1, terms)), 3)
+
+
+# (BinOp, UnaryOp, Call) counts of the value, gradient and Hessian-diagonal
+# kernels, as written with one line per node: folding moves text only
+KERNEL_OPERATIONS = {
+    "ackley-10d": [(44, 2, 13), (142, 31, 23), (284, 51, 23)],
+    "levy-10d": [(119, 0, 11), (191, 0, 22), (295, 11, 22)],
+    "michalewicz-10d": [(49, 1, 20), (120, 10, 40), (260, 30, 40)],
+    "relu-10x16": [(352, 93, 16), (806, 257, 16), (0, 0, 0)],
+}
+
+# constants that the fold must carry through unchanged
+_EDGE_CONSTANTS = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+class TestFold:
+    """Point-kernel temporaries referenced once are folded into their one
+    consumer; the kernels still match the tree walk bit for bit."""
+
+    @pytest.mark.parametrize("build", [lambda: _long_sum(5_000),
+                                       lambda: _mixed_chain(10_000)],
+                             ids=["sum-5000", "mixed-10000"])
+    def test_deep_chains_compile_and_match_walk(self, build, monkeypatch):
+        f = build()
+        sources = spy_on_codegen(monkeypatch)
+        comps = ex.gradient(f)
+        value, grad = ex.compile_function(f), ex.compile_vector(comps, f.dims)
+        assert max(map(_nesting, sources)) < 200
+        rng = np.random.default_rng(5)
+        for x in [rng.uniform(-3.0, 3.0, size=f.dims) for _ in range(3)]:
+            assert _bits([value(x)]) == _bits([ex.evaluate(f, x)])
+            assert _bits(grad(x)) == _bits(ex.evaluate(c, x) for c in comps)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_OPERATIONS))
+    def test_no_operation_is_repeated(self, name, monkeypatch):
+        f = golden.KERNEL_PROBLEMS[name]()
+        sources = spy_on_codegen(monkeypatch)
+        ex.compile_function(f)
+        ex.compile_vector(ex.gradient(f), f.dims)
+        ex.compile_vector(ex.hessian_diagonal(f), f.dims)
+        assert list(map(_operations, sources)) == KERNEL_OPERATIONS[name]
+
+    @pytest.mark.parametrize("name, limit", [("relu-10x16", 40),
+                                             ("ackley-100d", 1_000)])
+    def test_few_locals(self, name, limit):
+        # deterministic stand-in for the kernels' speed: one float local
+        # per node made the relu gradient 849 locals and the ackley-100d
+        # Hessian diagonal 3,308
+        f = golden.KERNEL_PROBLEMS[name]()
+        grad = ex._codegen(ex.gradient(f), "_v")
+        hess = ex._codegen(ex.hessian_diagonal(f), "_v")
+        assert max(grad.__code__.co_nlocals,
+                   hess.__code__.co_nlocals) < limit
+
+    @settings(deadline=None, database=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1),
+           constant=st.sampled_from(_EDGE_CONSTANTS),
+           x=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                st.floats(-5.0, 5.0)),
+                      min_size=3, max_size=3))
+    def test_kernels_match_walk_with_edge_constants(self, seed, constant, x):
+        f = _with_constant(np.random.default_rng(seed), constant)
+        comps = ex.gradient(f)
+        value, grad = ex.compile_function(f), ex.compile_vector(comps, 3)
+        assert _bits([value(x)]) == _bits([ex.evaluate(f, x)])
+        assert _bits(grad(x)) == _bits(ex.evaluate(c, x) for c in comps)
 
 
 class TestReluNet:
