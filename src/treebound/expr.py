@@ -21,7 +21,9 @@ whose numerator is the constant 0, into the constant 0, so ``0/0`` and
 tree into a plain Python function (with common-subexpression
 elimination, and each temporary used once written inline where it is
 used) that is an order of magnitude faster than the tree walk and falls
-back to it whenever a domain error occurs.
+back to it whenever a domain error occurs.  Where at least 64 dimensions
+repeat one term, it computes that term's copies with one numpy operation
+each, giving the same bits.
 
 Each operator kind is defined once, by its entry in the table ``_OPS``:
 its point rule, its interval rule over float endpoints, its point-kernel
@@ -372,6 +374,12 @@ def _ref_pow(a, k):
         return _NAN
 
 
+def _point_pow(a, k):
+    # a square as the kernels write it, a * a, which is correctly rounded
+    # where libm's pow(a, 2.0) is not always
+    return a * a if k == 2 else _ref_pow(a, k)
+
+
 def _ref_exp(a):
     try:
         return math.exp(a)
@@ -395,6 +403,16 @@ def _ref_step(a):
     if a != a:
         return _NAN
     return 1.0 if a >= 0.0 else 0.0
+
+
+def _nonzero(b):
+    """The divisor ``b`` of a vector kernel's division, a float or a
+    float64 array.  Raises ``ZeroDivisionError`` where ``b`` or one of
+    its elements is zero, as Python's float division does and numpy's
+    ``inf / 0`` and ``nan / 0`` do not."""
+    if b.all() if type(b) is np.ndarray else b:
+        return b
+    raise ZeroDivisionError
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +637,15 @@ class _Op(NamedTuple):
     is always called: it maps the result's endpoint names and the
     operands' ``(lo, hi)`` name pairs to one line computing exactly what
     ``interval`` does, or to None where the rule must be called.
+    ``vector`` says how the point kernels compute a lane group of this
+    kind (see ``_lanes``) as one numpy operation on float64 arrays: True
+    where ``kernel``'s snippet itself gives, element by element, the bits
+    of the scalar snippet, and raises a ``FloatingPointError`` under
+    ``_PointCode.errors`` wherever the scalar snippet raises; else a
+    callable like ``kernel`` returning the array snippet, or None for a
+    payload that must stay scalar; False where numpy's form can differ
+    from the scalar one in some bit (``np.exp``, ``np.log`` and
+    ``np.power`` do), or keeps another NaN or tie rule.
     ``derive(u, v, du, dv, k)`` builds the derivative from the operands,
     their derivatives (``v`` and ``dv`` are None for a unary kind) and
     the payload.  ``call`` builds the node for ``kind(...)`` in the
@@ -633,6 +660,7 @@ class _Op(NamedTuple):
     derive: Callable
     call: Callable | None = None
     inline: Callable | None = None
+    vector: Callable | bool = False
 
 
 def _d_select(sel, du, dv):
@@ -651,33 +679,40 @@ _OPS = _Table({
     "add": _Op(2, operator.add, _iadd, lambda a, b: f"{a} + {b}",
                lambda u, v, du, dv, k: add(du, dv),
                inline=lambda l, h, a, b: _sum_line(
-                   l, h, f"{a[0]} + {b[0]}", f"{a[1]} + {b[1]}", a, b)),
+                   l, h, f"{a[0]} + {b[0]}", f"{a[1]} + {b[1]}", a, b),
+               vector=True),
     "sub": _Op(2, operator.sub, _isub, lambda a, b: f"{a} - ({b})",
                lambda u, v, du, dv, k: sub(du, dv),
                inline=lambda l, h, a, b: _sum_line(
-                   l, h, f"{a[0]} - {b[1]}", f"{a[1]} - {b[0]}", a, b)),
+                   l, h, f"{a[0]} - {b[1]}", f"{a[1]} - {b[0]}", a, b),
+               vector=True),
     "mul": _Op(2, operator.mul, _imul, lambda a, b: f"{a} * {b}",
                lambda u, v, du, dv, k: add(mul(du, v), mul(u, dv)),
-               inline=_scale_line),
+               inline=_scale_line, vector=True),
     "div": _Op(2, _nan_on_error(operator.truediv), _idiv,
                lambda a, b: f"{a} / ({b})",
                lambda u, v, du, dv, k: div(sub(mul(du, v), mul(u, dv)),
-                                           pow_int(v, 2))),
+                                           pow_int(v, 2)),
+               vector=lambda a, b: f"{a} / _nonzero({b})"),
     "neg": _Op(1, operator.neg, _ineg, lambda a: f"-({a})",
                lambda u, v, du, dv, k: neg(du),
-               inline=lambda l, h, a: f"{l}, {h} = -{a[1]}, -{a[0]}"),
+               inline=lambda l, h, a: f"{l}, {h} = -{a[1]}, -{a[0]}",
+               vector=True),
     # parenthesized base: unary minus binds looser than **
-    "pow": _Op(1, _ref_pow, _ipow,
+    "pow": _Op(1, _point_pow, _ipow,
                lambda a, k: f"{a} * {a}" if k == 2 else f"({a}) ** {k}",
                lambda u, v, du, dv, k: mul(mul(const(float(k)),
-                                               pow_int(u, k - 1)), du)),
+                                               pow_int(u, k - 1)), du),
+               vector=lambda a, k: f"{a} * {a}" if k == 2 else None),
     "sin": _Op(1, _nan_on_error(math.sin),
                _periodic(math.sin, 0.5 * math.pi, -0.5 * math.pi),
                lambda a: f"sin({a})",
-               lambda u, v, du, dv, k: mul(cos(u), du), sin),
+               lambda u, v, du, dv, k: mul(cos(u), du), sin,
+               vector=lambda a: f"np.sin({a})"),
     "cos": _Op(1, _nan_on_error(math.cos), _periodic(math.cos, 0.0, math.pi),
                lambda a: f"cos({a})",
-               lambda u, v, du, dv, k: neg(mul(sin(u), du)), cos),
+               lambda u, v, du, dv, k: neg(mul(sin(u), du)), cos,
+               vector=lambda a: f"np.cos({a})"),
     "exp": _Op(1, _ref_exp, _iexp, lambda a: f"exp({a})",
                lambda u, v, du, dv, k: mul(exp(u), du), exp),
     "log": _Op(1, _nan_on_error(math.log), _ilog, lambda a: f"log({a})",
@@ -685,11 +720,11 @@ _OPS = _Table({
     "sqrt": _Op(1, _nan_on_error(math.sqrt), _isqrt,
                 lambda a: f"sqrt({a})",
                 lambda u, v, du, dv, k: div(du, mul(const(2.0), sqrt(u))),
-                sqrt),
+                sqrt, vector=lambda a: f"np.sqrt({a})"),
     # sign(u) du, with sign(0) = 0
     "abs": _Op(1, abs, _iabs, lambda a: f"abs({a})",
                lambda u, v, du, dv, k: mul(sub(_step(u), _step(neg(u))), du),
-               absolute),
+               absolute, vector=True),
     # step(u - v) is 1 on the first argument's branch, ties included
     "max": _Op(2, _fmax, _imax, lambda a, b: f"_fmax({a}, {b})",
                lambda u, v, du, dv, k: _d_select(_step(sub(u, v)), du, dv),
@@ -1056,14 +1091,22 @@ _SLOTS = ("{0}", "{1}")
 class _PointCode:
     """Snippets of the point kernels: each variable a float local, each
     operator node a fold line ``(temp, template, arg_names)``, where
-    ``template`` is the node's snippet over the slots ``_SLOTS``."""
+    ``template`` is the node's snippet over the slots ``_SLOTS``.
+
+    ``params`` is the list of floats a scalar kernel takes.  A kernel in
+    which ``_lanes`` found a wide group takes the float64 array ``array``
+    instead, and ``_point_kernel`` runs it under the numpy error state
+    ``errors``."""
 
     params = "x"
+    array = "a"
+    errors = dict(divide="raise", invalid="raise", over="raise",
+                  under="ignore")
     # the functions that the kernel snippets of ``_OPS`` call by name
     namespace = {
         "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
         "sqrt": math.sqrt, "_fmax": _fmax, "_fmin": _fmin, "_step": _ref_step,
-        "inf": _INF, "nan": _NAN,
+        "inf": _INF, "nan": _NAN, "np": np, "_nonzero": _nonzero,
     }
 
     @staticmethod
@@ -1086,17 +1129,189 @@ class _PointCode:
         return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
 
 
+# the narrowest lane group that a point kernel computes as one numpy
+# operation, and the most lanes it may unpack per lane so computed.  Both
+# are measured crossovers: the builtins' kernels ran slower on arrays at
+# 32 and 48 dimensions and broke even or gained at 64, and Ackley's value
+# kernel, which unpacks 2 lanes for every 3 it computes, ran slower at 100
+_LANES = 64
+_UNPACKED = 0.5
+
+
+def _array_template(kind, payload, arity):
+    """``_OPS[kind].vector``'s snippet over ``_SLOTS``, or None where the
+    kind or the payload stays scalar."""
+    op = _OPS[kind]
+    slots = _SLOTS[:arity] + (() if payload is None else (payload,))
+    if op.vector is True:
+        return op.kernel(*slots)
+    return op.vector(*slots) if op.vector else None
+
+
+def _lanes(cse, lines, root_names, dims):
+    """A point kernel's lines with its lane groups computed on arrays:
+    ``(lines, root_names, namespace)``, or None if no group is at least
+    ``_LANES`` wide.
+
+    ``cse`` maps each ``(kind, payload, arg_names)`` to its name and
+    ``lines`` holds the one line each entry wrote, in the same order.  A
+    lane is one dimension's copy of a term.  The variables are group 0,
+    lane ``i`` for ``x{i}``.  Two operator nodes are in one group when
+    they have the same kind and payload and each pair of operands is
+    either members of one group in the node's lane, or the same name of a
+    node outside every group, or two constants; constants that differ
+    between lanes become a constant array.  The n-th node of a kind,
+    payload and operand groups in a lane joins that signature's n-th
+    group.  A node whose operands lie in different lanes (Levy's ``x_i``
+    and ``x_{i+1}``), whose kind ``_Op.vector`` keeps scalar, or that
+    reads no group member stays scalar.
+
+    Each group at least ``_LANES`` wide becomes one line over arrays in
+    lane order, written where its first member was: its dependencies come
+    earlier in the post-order, as in any one lane, and its readers later.
+    It reads an operand group at a subset of that group's lanes through a
+    slice or an index array.  The members that scalar lines or the roots
+    read are unpacked once from ``.tolist()``, or each taken with
+    ``.item(p)`` where fewer than an eighth of a group's are read, so
+    every sum stays a chain of float additions in the order of the tree.
+    Roots that are one group, in lane order, are returned as its array.
+    A kernel that would unpack more than ``_UNPACKED`` lanes per lane it
+    computes on arrays stays scalar.
+    """
+    where = {}             # member name -> (group, lane)
+    key_of = {}            # (kind, payload, operands, n) -> group
+    # group -> ({lane: (name, arg_names)}, (kind, payload, operands))
+    groups = [({}, None)]
+    count = {}
+    templates = {}         # (kind, payload) -> _array_template
+    temps = set(cse.values())
+    for (kind, payload, args), name in cse.items():
+        if kind == "var":
+            where[name] = 0, payload
+            groups[0][0][payload] = name, args
+            continue
+        if (kind, payload) not in templates:
+            templates[kind, payload] = _array_template(kind, payload,
+                                                       len(args))
+        if templates[kind, payload] is None:
+            continue
+        lane, ops = None, []
+        for a in args:
+            if a not in where:
+                ops.append(a if a in temps else None)
+            elif lane is None or where[a][1] == lane:
+                g, lane = where[a]
+                ops.append(g)
+            else:
+                break
+        else:
+            if lane is None:
+                continue
+            key = (kind, payload, tuple(ops))
+            n = count[key, lane] = count.get((key, lane), -1) + 1
+            g = key_of.setdefault(key + (n,), len(groups))
+            if g == len(groups):
+                groups.append(({}, key))
+            groups[g][0][lane] = name, args
+            where[name] = g, lane
+    wide = [g == 0 or len(members) >= _LANES
+            for g, (members, _) in enumerate(groups)]
+    if not any(wide[1:]):
+        return None
+
+    def group_of(name):
+        """The wide group that ``name`` is a member of, else None."""
+        g = where.get(name)
+        return g[0] if g is not None and wide[g[0]] else None
+
+    lanes = [sorted(members) for members, _ in groups]
+    lanes[0] = range(dims)  # the input array, indexed by lane
+    arrays = [_PointCode.array] + [f"g{g}" for g in range(1, len(groups))]
+    namespace = {}
+
+    def vector_line(g):
+        members, (kind, payload, ops) = groups[g]
+        template, args = templates[kind, payload], []
+        for i, d in enumerate(ops):
+            if type(d) is int:
+                if len(lanes[g]) < len(lanes[d]):
+                    at = {l: p for p, l in enumerate(lanes[d])}
+                    pos = [at[l] for l in lanes[g]]
+                    if pos[-1] - pos[0] == len(pos) - 1:
+                        part = f"[{pos[0]}:{pos[-1] + 1}]"
+                    else:
+                        part = f"[i{len(namespace)}]"
+                        namespace[part[1:-1]] = np.array(pos)
+                    template = template.replace(_SLOTS[i], _SLOTS[i] + part)
+                d = arrays[d]
+            elif d is None:
+                # a constant array, 0-d where all lanes agree: numpy
+                # multiplies by one faster than by a Python float
+                consts = [members[l][1][i] for l in lanes[g]]  # reprs
+                d = f"k{len(namespace)}"
+                namespace[d] = np.array(
+                    float(consts[0]) if consts.count(consts[0]) == len(consts)
+                    else [float(c) for c in consts])
+            args.append(d)
+        return arrays[g], template, tuple(args)
+
+    g = group_of(root_names[0])
+    if g and root_names == [groups[g][0][l][0] for l in lanes[g]]:
+        root_names, read = [arrays[g]], set()
+    else:
+        read = set(root_names)
+    for name, line in zip(cse.values(), lines):
+        if type(line) is tuple and group_of(name) is None:
+            read.update(line[2])
+    out, done = [], set()
+    computed = unpacked = 0  # lanes, the input's excepted
+    for name, line in zip(cse.values(), lines):
+        g = group_of(name)
+        if g is None:
+            out.append(line)
+            continue
+        if g in done:
+            continue
+        done.add(g)
+        if g:
+            out.append(vector_line(g))
+            computed += len(lanes[g])
+        members = groups[g][0]
+        targets = [members[l][0] if l in members and members[l][0] in read
+                   else "_" for l in lanes[g]]
+        reads = len(targets) - targets.count("_")
+        if 8 * reads < len(targets):
+            out.extend((t, f"{{0}}.item({p})", (arrays[g],))
+                       for p, t in enumerate(targets) if t != "_")
+        elif reads:
+            out.append((", ".join(targets), "{0}.tolist()", (arrays[g],)))
+            reads = len(targets)
+        unpacked += reads if g else 0
+    if unpacked > _UNPACKED * computed:
+        return None
+    return out, root_names, namespace
+
+
 # brackets a folded operand may nest; CPython's tokenizer stops at 200
 _FOLD_DEPTH = 40
 
 
-def _codegen(roots, name, code=_PointCode):
+def _codegen(roots, name, code=_PointCode, dims=None):
     """Generate one function evaluating all roots with shared CSE.
 
     ``code`` writes the snippets: ``const(c)`` and ``var(i)`` name a leaf,
     ``op(kind, payload, arg_names, temp)`` computes an operator node, each
     returning (name, lines); ``result(root_names)`` is the returned
     expression.  Names may be any hashable value, since they key the CSE.
+
+    For ``_PointCode``, ``_lanes`` then computes each lane group of
+    isomorphic terms at least ``_LANES`` wide with one numpy operation;
+    ``dims`` (default: the roots' widest) is the length of the input
+    array that such a kernel takes.  Only the kinds whose numpy form
+    gives the scalar snippet's bits are grouped (``_Op.vector``: add, sub,
+    mul, div, neg, square, sqrt, abs, sin and cos).  Under
+    ``_PointCode.errors`` every input on which numpy would set a
+    floating-point flag raises ``FloatingPointError`` instead.
 
     A line may also be a fold line ``(temp, template, arg_names)``.  It is
     written in parentheses into the one expression that references
@@ -1130,6 +1345,16 @@ def _codegen(roots, name, code=_PointCode):
             cse[key] = hit
         names[node] = hit
     root_names = [names[r] for r in roots]
+    params, ns = code.params, dict(code.namespace)
+    if code is _PointCode:
+        if dims is None:
+            dims = max((r.dims for r in roots), default=0)
+        # a group holds at most one node per dimension
+        wide = _lanes(cse, lines, root_names, dims) if dims >= _LANES else None
+        if wide is not None:
+            lines, root_names, arrays = wide
+            params = code.array
+            ns.update(arrays)
     uses = {}
     for n in root_names:
         uses[n] = uses.get(n, 0) + 1
@@ -1154,45 +1379,54 @@ def _codegen(roots, name, code=_PointCode):
             texts.append(a)
         text = template.format(*texts)
         depth += 1 + template.count("(")
-        if uses[temp] == 1 and depth <= _FOLD_DEPTH:
+        # an unpacking line's targets ("t3, _, t9") are no one's operand
+        if uses.get(temp) == 1 and depth <= _FOLD_DEPTH:
             folded[temp] = f"({text})", depth
         else:
             out.append(f"{temp} = {text}")
     ret = code.result([folded.pop(n)[0] if n in folded else n
                        for n in root_names])
-    src = (f"def {name}({code.params}):\n"
+    src = (f"def {name}({params}):\n"
            + "".join(f"    {line}\n" for line in out)
            + f"    return {ret}\n")
-    ns = dict(code.namespace)
     exec(compile(src, f"<compiled {name}>", "exec"), ns)
     return ns[name]
 
 
-def _point_list(x, dims):
-    """``x`` as a list of ``dims`` Python floats, the input of the point
-    kernels; converted once per call, not once per variable load."""
+def _point_array(x, dims):
+    """``x`` as a float64 array of shape ``(dims,)``; a scalar point
+    kernel takes its ``tolist()``, converted once per call, not once per
+    variable load."""
     xs = np.asarray(x, dtype=float)
     if xs.shape != (dims,):
         raise DimensionMismatch(
             f"expression over {dims} dimension(s) evaluated at an array "
             f"of shape {xs.shape}")
-    return xs.tolist()
+    return xs
 
 
 def _point_kernel(roots, dims, name):
     """Callable for the kernel ``name`` over ``roots``, returning what the
-    generated function returns: a float for one root, else a tuple.  It
-    falls back to the reference tree walk on domain errors so NaN
-    semantics are preserved exactly."""
-    fast = _codegen(roots, name)
+    generated function returns: a float for one root, else a tuple, or
+    the float64 array of a lane group (see ``_codegen``).  A kernel that
+    computes on arrays runs under ``_PointCode.errors``.  The callable
+    falls back to the reference tree walk on domain errors and on the
+    floating-point errors of array operations, so NaN and infinity
+    semantics are preserved exactly and no numpy warning reaches the
+    caller."""
+    fast = _codegen(roots, name, dims=dims)
     single = len(roots) == 1
+    array_in = fast.__code__.co_varnames[0] == _PointCode.array
+    if array_in:
+        fast = np.errstate(**_PointCode.errors)(fast)
 
     def fn(x):
-        xs = _point_list(x, dims)
+        xs = _point_array(x, dims)
         try:
-            return fast(xs)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            out = _evaluate_all(roots, xs)
+            return fast(xs if array_in else xs.tolist())
+        except (ValueError, OverflowError, ZeroDivisionError,
+                FloatingPointError):
+            out = _evaluate_all(roots, xs.tolist())
             return out[0] if single else out
 
     return fn
@@ -1204,7 +1438,9 @@ def compile_function(f):
 
 
 def compile_vector(components, dims):
-    """Fast callable returning a tuple of component values."""
+    """Fast callable returning the component values: a tuple, or a
+    float64 array where the components are one lane group (see
+    ``_codegen``)."""
     components = tuple(components)
     fn = _point_kernel(components, dims, "_v")
     if len(components) == 1:

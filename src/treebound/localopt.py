@@ -42,21 +42,22 @@ class LocalOptReport:
     converged: bool
 
 
-def _lbfgs_direction(memory, g):
-    """Two-loop recursion over stored (s, y) pairs."""
+def _lbfgs_direction(memory, gamma, g):
+    """Two-loop recursion over stored (s, y, 1 / s·y) pairs, scaled by
+    ``gamma`` = s·y / y·y of the newest pair."""
     if not memory:
         return -g
     q = g.copy()
     alphas = []
+    # Python floats: scaling an array by one costs less than by a numpy
+    # scalar, and gives the same values
     for s, yk, rho in reversed(memory):
-        a = rho * s.dot(q)
+        a = rho * float(s.dot(q))
         q -= a * yk
         alphas.append(a)
-    s, yk, _ = memory[-1]
-    gamma = s.dot(yk) / yk.dot(yk)
     q *= gamma
     for (s, yk, rho), a in zip(memory, reversed(alphas)):
-        b = rho * yk.dot(q)
+        b = rho * float(yk.dot(q))
         q += (a - b) * s
     return -q
 
@@ -95,13 +96,14 @@ def local_opt(f, x0, box, budget):
 
     converged = False
     memory = deque(maxlen=MEMORY)
+    gamma = None
     while True:
         pg = x - _clip(x - g, lows, highs)
         if abs(pg).max() < GRAD_TOL:
             converged = True
             break
 
-        d = _lbfgs_direction(memory, g)
+        d = _lbfgs_direction(memory, gamma, g)
         if d.dot(g) >= 0.0:
             d = -g
 
@@ -110,10 +112,13 @@ def local_opt(f, x0, box, budget):
         for _ in range(MAX_HALVINGS):
             if used >= limit:
                 break
-            x_new = _clip(x + alpha * d, lows, highs)
+            # the first trial is x + 1.0 * d, exactly
+            x_new = _clip(x + d if alpha == 1.0 else x + alpha * d,
+                          lows, highs)
             y_new = value(x_new)
             used += 1
-            slope = g.dot(x_new - x)
+            s = x_new - x
+            slope = float(g.dot(s))
             # require non-ascent even when projection spoils the slope
             if y_new == y_new and y_new <= y + ARMIJO_C * min(slope, 0.0):
                 accepted = True
@@ -135,11 +140,12 @@ def local_opt(f, x0, box, budget):
         if not np.isfinite(g_new).all():
             x, y = x_new, y_new
             break
-        s = x_new - x
         yk = g_new - g
-        sy = s.dot(yk)
-        if sy > CURVATURE_EPS * math.sqrt(s.dot(s)) * math.sqrt(yk.dot(yk)):
+        sy = float(s.dot(yk))
+        yy = float(yk.dot(yk))
+        if sy > CURVATURE_EPS * math.sqrt(float(s.dot(s))) * math.sqrt(yy):
             memory.append((s, yk, 1.0 / sy))
+            gamma = sy / yy
         x, y, g = x_new, y_new, g_new
 
     return LocalOptReport(x, y, used, converged)

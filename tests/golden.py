@@ -8,6 +8,15 @@ versions it was recorded with, the best point as ``float.hex`` values,
 it.  ``tests/test_golden.py`` compares everything after the version line
 byte for byte.
 
+The version line does not name everything the bits rest on.  The traces
+depend on numpy's ``dot`` through ``local_opt``: with the OpenBLAS build
+they were recorded with (Haswell, DYNAMIC_ARCH), a 2-vector's ``a.dot(b)``
+is the fused ``fma(a1, b1, a0*b0)``, not the sum of two rounded
+products, so another BLAS kernel or CPU can change every trace.  The
+100-d traces also rely on numpy's float64 ``sin`` and ``cos`` giving the
+bits of ``math.sin`` and ``math.cos``, which the point kernels' lane
+groups call in their place (``tests/test_expr.py::TestLanes`` checks it).
+
 ``kernels.sha256`` in the same directory pins the generated kernels: one
 SHA-256 per source text of the value, gradient, Hessian-diagonal and
 interval kernel of each problem in ``KERNEL_PROBLEMS``, so a change to

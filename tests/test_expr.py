@@ -1,8 +1,10 @@
 import ast
 import copy
+import functools
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +129,13 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(ex.DimensionMismatch):
             ex.evaluate(ex.parse("x0 + x1", 2), [1.0])
+
+    def test_square_is_the_kernels_product(self):
+        # libm's pow(x, 2.0) gives 1.9936741314761215 here, one ulp above
+        # the correctly rounded x * x that the kernels compute
+        x = -1.4119752588045307
+        f = ex.parse("x0^2", 1)
+        assert ex.evaluate(f, [x]) == x * x == ex.compile_function(f)([x])
 
     def test_never_raises_on_finite_input(self):
         rng = np.random.default_rng(11)
@@ -503,6 +512,179 @@ class TestFold:
         value, grad = ex.compile_function(f), ex.compile_vector(comps, 3)
         assert _bits([value(x)]) == _bits([ex.evaluate(f, x)])
         assert _bits(grad(x)) == _bits(ex.evaluate(c, x) for c in comps)
+
+
+def _every_kind(n=100):
+    """An n-d sum whose lane terms use every kind the point kernels
+    compute on arrays, with constants that differ between lanes.  Lanes
+    ``i % 10 == 0`` lack the last term, so two groups are read at a
+    subset of their lanes through an index array."""
+    terms = []
+    for i in range(n):
+        x = ex.var(i)
+        u = ex.mul(ex.const(1.0 + i / n), x)
+        v = ex.sub(ex.sin(u), ex.cos(x))
+        w = ex.add(ex.sqrt(ex.add(x, ex.const(2.0))), ex.absolute(ex.neg(v)))
+        q = ex.div(ex.pow_int(w, 2), ex.mul(x, ex.const(0.5 + i % 7)))
+        terms.append(ex.add(q, ex.cos(u)) if i % 10 else q)
+    return ex.with_dims(ex.balanced_sum(terms), n)
+
+
+def _chain(x):
+    """Nine operations over ``x`` that the kernels compute on arrays."""
+    square = ex.pow_int(x, 2)
+    ratio = ex.div(ex.sqrt(ex.add(square, ex.const(1.0))),
+                   ex.add(square, ex.const(2.0)))
+    return ex.mul(ex.sin(x), ex.add(ex.cos(x), ratio))
+
+
+def _per_lane(n, term):
+    """``term(x_i, i)`` for each of n lanes, as one 100-d kernel's roots."""
+    return tuple(ex.with_dims(term(ex.var(i), i), n) for i in range(n))
+
+
+LANE_PROBLEMS = {
+    **{f"{name}-100d": (lambda name=name: make_builtin(name, 100).expression)
+       for name in ("ackley", "levy", "michalewicz")},
+    "every-kind-100d": _every_kind,
+}
+
+
+@functools.cache
+def _lane_kernels(name):
+    """(roots, compiled kernel) of the value, gradient and Hessian
+    diagonal of ``LANE_PROBLEMS[name]``."""
+    f = LANE_PROBLEMS[name]()
+    out = []
+    for roots in ((f,), ex.gradient(f), ex.hessian_diagonal(f)):
+        out.append((roots, ex.compile_vector(roots, f.dims)))
+    return out
+
+
+# inputs where numpy sets a floating-point flag or a scalar operation
+# raises: -5.0 takes sqrt of a negative, 0.0 divides by zero, 1e308
+# overflows a square
+_LANE_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0, 5e-324,
+               1e308, -1e308, 1.0, -1.0]
+
+# np.sin and np.cos must equal math.sin and math.cos here
+_TRIG_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-300, 1e-8, 0.5, math.pi, 1e22, -1e22, 2.0**53 + 1.0,
+               1e300, 1e308, -1e308, 1.7976931348623157e308]
+
+
+class TestLanes:
+    """Wide groups of isomorphic per-dimension terms computed with one
+    numpy operation each; every result equals the tree walk bit for bit."""
+
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(name=st.sampled_from(sorted(LANE_PROBLEMS)),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 3.0, 30.0]),
+           edges=st.lists(st.tuples(st.integers(0, 99),
+                                    st.sampled_from(_LANE_EDGES)),
+                          max_size=3))
+    def test_kernels_match_walk_at_100d(self, name, seed, scale, edges):
+        x = np.random.default_rng(seed).uniform(-scale, scale, 100)
+        for i, v in edges:
+            x[i] = v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for roots, kernel in _lane_kernels(name):
+                assert (_bits(kernel(x))
+                        == _bits(ex._evaluate_all(roots, x.tolist())))
+
+    @pytest.mark.parametrize("name", sorted(LANE_PROBLEMS))
+    def test_ordinary_points_need_no_walk(self, name, monkeypatch):
+        # a malformed array line (a broadcast of mismatched lanes) raises
+        # ValueError, which the fallback would hide behind the walk's
+        # correct result
+        kernels = _lane_kernels(name)
+        monkeypatch.setattr(ex, "_evaluate_all", None)
+        rng = np.random.default_rng(43)
+        for x in rng.uniform(0.1, 1.0, (3, 100)):
+            for _, kernel in kernels:
+                assert np.isfinite(kernel(x)).all()
+
+    @pytest.mark.parametrize("name", sorted(LANE_PROBLEMS))
+    def test_wide_kernels_use_arrays(self, name, monkeypatch):
+        # Ackley's value kernel would unpack 200 of its 300 array lanes,
+        # so it stays scalar; sums are never numpy reductions
+        sources = spy_on_codegen(monkeypatch)
+        f = LANE_PROBLEMS[name]()
+        ex.compile_function(f)
+        ex.compile_vector(ex.gradient(f), f.dims)
+        ex.compile_vector(ex.hessian_diagonal(f), f.dims)
+        arrays = ["(a):\n" in src for src in sources]
+        assert arrays == [name != "ackley-100d", True, True]
+        for src in sources:
+            assert ".sum(" not in src and "np.add" not in src
+
+    def test_ackley_100d_trig_call_sites(self, monkeypatch):
+        # deterministic stand-in for the speed-up: the scalar kernels had
+        # 100 sin and 100 cos call sites each
+        sources = spy_on_codegen(monkeypatch)
+        f = make_builtin("ackley", 100).expression
+        ex.compile_vector(ex.gradient(f), 100)
+        ex.compile_vector(ex.hessian_diagonal(f), 100)
+        for src in sources:
+            assert src.count("sin(") + src.count("cos(") <= 4, src
+
+    @pytest.mark.parametrize("call, term", [
+        ("exp(", lambda x, i: ex.exp(ex.mul(ex.const(0.5 + i), x))),
+        ("log(", lambda x, i: ex.log(ex.add(x, ex.const(2.0 + i)))),
+        ("**", lambda x, i: ex.pow_int(ex.sub(x, ex.const(0.5 * i)), 3)),
+        ("**", lambda x, i: ex.pow_int(ex.sin(x), -2)),
+    ], ids=["exp", "log", "cube", "inverse-square"])
+    def test_exp_log_and_powers_stay_scalar(self, call, term, monkeypatch):
+        # numpy's exp, log and power differ from math's in the last bit on
+        # some inputs; their operands are arrays, the operations are not
+        sources = spy_on_codegen(monkeypatch)
+        roots = _per_lane(100, lambda x, i: ex.add(term(x, i), _chain(x)))
+        kernel = ex.compile_vector(roots, 100)
+        src = sources[0]
+        assert "(a):\n" in src
+        assert "np.exp" not in src and "np.log" not in src
+        assert "np.power" not in src and "np.float_power" not in src
+        assert src.count(call) == 100  # one per lane
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, 100)
+        assert _bits(kernel(x)) == _bits(ex._evaluate_all(roots, x.tolist()))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_zero_divisor_falls_back_like_the_scalar_kernel(self, value):
+        # (2 + i) x_i / (1 / (x0 * x1)) with every x_i infinite or NaN:
+        # numpy's inf / 0 is inf and sets no flag, Python's float division
+        # raises and the walk gives NaN
+        s = ex.div(ex.const(1.0), ex.mul(ex.var(0), ex.var(1)))
+        roots = _per_lane(100, lambda x, i: ex.div(
+            ex.mul(ex.const(2.0 + i), x), s))
+        kernel = ex.compile_vector(roots, 100)
+        assert type(kernel(np.ones(100))) is np.ndarray
+        x = np.full(100, value)
+        x[:2] = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel(x)
+        assert _bits(got) == _bits(ex._evaluate_all(roots, x.tolist()))
+        assert all(math.isnan(v) for v in got)
+
+    def test_numpy_trig_matches_math(self):
+        # the array kernels call np.sin and np.cos where the scalar ones
+        # call math.sin and math.cos; a platform whose float64 numpy
+        # trigonometry differs would silently change the searches
+        rng = np.random.default_rng(41)
+        x = np.concatenate([
+            _TRIG_EDGES, np.negative(_TRIG_EDGES),
+            rng.uniform(-10.0, 10.0, 20_000),
+            np.ldexp(rng.uniform(0.5, 1.0, 20_000),
+                     rng.integers(-1074, 1024, 20_000)),
+            np.nextafter(np.pi * rng.integers(-10**6, 10**6, 2_000), 0.0)])
+        values = x.tolist()
+        for vector, scalar in ((np.sin, math.sin), (np.cos, math.cos)):
+            want = [scalar(v) for v in values]
+            got = vector(x).tolist()
+            bad = [v for v, g, w in zip(values, got, want) if g != w]
+            assert not bad, f"{vector.__name__} differs at {bad[:5]}"
 
 
 class TestReluNet:

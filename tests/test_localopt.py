@@ -1,10 +1,33 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from treebound import BoxDomain, CompiledObjective, local_opt
 from treebound import expr as ex
+from treebound.bench import make_builtin
 
+import golden
 from helpers import random_expression
+
+
+def _replay_problems():
+    """(expression, box, budget) of the problems whose refinements
+    ``test_reports_keep_their_bits`` replays."""
+    for name, dims, budget in (("michalewicz", 10, 60), ("levy", 10, 60),
+                               ("ackley", 100, 40)):
+        problem = make_builtin(name, dims)
+        yield problem.expression, problem.box, budget
+    f, box, _ = golden._relu_net()
+    yield f, box, 60
+
+
+# SHA-256 of the replayed reports as the L-BFGS loop gave them with numpy
+# scalars, before it took Python floats; like the golden traces, the bits
+# rest on numpy's dot product (see tests/golden.py)
+REPLAY_DIGEST = (
+    "fd21775777eb11c275497bda2d2b2672c0a1f19a72f2215850d71c35e35d2cd4")
 
 
 def _sum_of_squares(n):
@@ -90,3 +113,18 @@ class TestLocalOpt:
         assert report.evaluations == 2
         assert not report.converged
         assert np.array_equal(report.x, x0)
+
+    def test_reports_keep_their_bits(self):
+        # 80 refinements from seeded starts over the whole domain, 3,781
+        # evaluations: every report's x, y, count and flag, bit for bit
+        digest = hashlib.sha256()
+        for f, box, budget in _replay_problems():
+            obj = CompiledObjective(f)
+            rng = np.random.default_rng(f.dims)
+            for _ in range(20):
+                report = local_opt(obj, rng.uniform(box.lows, box.highs), box,
+                                   budget)
+                digest.update(report.x.tobytes())
+                digest.update(struct.pack("<d?q", report.y, report.converged,
+                                          report.evaluations))
+        assert digest.hexdigest() == REPLAY_DIGEST
