@@ -1096,7 +1096,8 @@ class _PointCode:
     ``params`` is the list of floats a scalar kernel takes.  A kernel in
     which ``_lanes`` found a wide group takes the float64 array ``array``
     instead, and ``_point_kernel`` runs it under the numpy error state
-    ``errors``."""
+    ``errors``.  ``_codegen`` marks each point kernel with ``takes_array``
+    and ``returns_array``."""
 
     params = "x"
     array = "a"
@@ -1130,12 +1131,17 @@ class _PointCode:
 
 
 # the narrowest lane group that a point kernel computes as one numpy
-# operation, and the most lanes it may unpack per lane so computed.  Both
-# are measured crossovers: the builtins' kernels ran slower on arrays at
-# 32 and 48 dimensions and broke even or gained at 64, and Ackley's value
-# kernel, which unpacks 2 lanes for every 3 it computes, ran slower at 100
+# operation, the most lanes it may unpack per lane so computed, and the
+# share of a group's lanes below which scalar code takes each member it
+# reads with ``.item(p)`` instead of unpacking the group's ``.tolist()``.
+# All are measured crossovers: the builtins' kernels ran slower on arrays
+# at 32 and 48 dimensions and broke even or gained at 64; Ackley's value
+# kernel, which unpacks 2 lanes for every 3 it computes, ran slower at
+# 100; and ``.item`` reads beat one ``tolist()`` up to 12 of 64 lanes and
+# 20 of 100, losing at 14 and 24
 _LANES = 64
 _UNPACKED = 0.5
+_ITEMS = 0.2
 
 
 def _array_template(kind, payload, arity):
@@ -1172,11 +1178,12 @@ def _lanes(cse, lines, root_names, dims):
     It reads an operand group at a subset of that group's lanes through a
     slice or an index array.  The members that scalar lines or the roots
     read are unpacked once from ``.tolist()``, or each taken with
-    ``.item(p)`` where fewer than an eighth of a group's are read, so
-    every sum stays a chain of float additions in the order of the tree.
-    Roots that are one group, in lane order, are returned as its array.
-    A kernel that would unpack more than ``_UNPACKED`` lanes per lane it
-    computes on arrays stays scalar.
+    ``.item(p)`` where fewer than ``_ITEMS`` of a group's lanes are read
+    (Levy's first and last lanes), so every sum stays a chain of float
+    additions in the order of the tree.  Roots that are one group, in lane
+    order, are returned as its array.  A kernel that would unpack more
+    than ``_UNPACKED`` lanes per lane it computes on arrays, counting every
+    lane of a ``tolist()`` and one per ``.item``, stays scalar.
     """
     where = {}             # member name -> (group, lane)
     key_of = {}            # (kind, payload, operands, n) -> group
@@ -1280,7 +1287,7 @@ def _lanes(cse, lines, root_names, dims):
         targets = [members[l][0] if l in members and members[l][0] in read
                    else "_" for l in lanes[g]]
         reads = len(targets) - targets.count("_")
-        if 8 * reads < len(targets):
+        if reads < _ITEMS * len(targets):
             out.extend((t, f"{{0}}.item({p})", (arrays[g],))
                        for p, t in enumerate(targets) if t != "_")
         elif reads:
@@ -1311,7 +1318,10 @@ def _codegen(roots, name, code=_PointCode, dims=None):
     gives the scalar snippet's bits are grouped (``_Op.vector``: add, sub,
     mul, div, neg, square, sqrt, abs, sin and cos).  Under
     ``_PointCode.errors`` every input on which numpy would set a
-    floating-point flag raises ``FloatingPointError`` instead.
+    floating-point flag raises ``FloatingPointError`` instead.  Each point
+    kernel is marked with ``takes_array``, true where it takes the array,
+    and ``returns_array``, true where its roots are one group and it
+    returns that group's array instead of a tuple.
 
     A line may also be a fold line ``(temp, template, arg_names)``.  It is
     written in parentheses into the one expression that references
@@ -1346,6 +1356,7 @@ def _codegen(roots, name, code=_PointCode, dims=None):
         names[node] = hit
     root_names = [names[r] for r in roots]
     params, ns = code.params, dict(code.namespace)
+    takes_array = returns_array = False
     if code is _PointCode:
         if dims is None:
             dims = max((r.dims for r in roots), default=0)
@@ -1353,7 +1364,9 @@ def _codegen(roots, name, code=_PointCode, dims=None):
         wide = _lanes(cse, lines, root_names, dims) if dims >= _LANES else None
         if wide is not None:
             lines, root_names, arrays = wide
-            params = code.array
+            params, takes_array = code.array, True
+            # the roots collapsed into their group's array
+            returns_array = len(root_names) < len(roots)
             ns.update(arrays)
     uses = {}
     for n in root_names:
@@ -1390,7 +1403,10 @@ def _codegen(roots, name, code=_PointCode, dims=None):
            + "".join(f"    {line}\n" for line in out)
            + f"    return {ret}\n")
     exec(compile(src, f"<compiled {name}>", "exec"), ns)
-    return ns[name]
+    fn = ns[name]
+    if code is _PointCode:
+        fn.takes_array, fn.returns_array = takes_array, returns_array
+    return fn
 
 
 def _point_array(x, dims):
@@ -1413,10 +1429,10 @@ def _point_kernel(roots, dims, name):
     falls back to the reference tree walk on domain errors and on the
     floating-point errors of array operations, so NaN and infinity
     semantics are preserved exactly and no numpy warning reaches the
-    caller."""
+    caller; the walk's result has the type the kernel returns."""
     fast = _codegen(roots, name, dims=dims)
     single = len(roots) == 1
-    array_in = fast.__code__.co_varnames[0] == _PointCode.array
+    array_in, array_out = fast.takes_array, fast.returns_array
     if array_in:
         fast = np.errstate(**_PointCode.errors)(fast)
 
@@ -1427,7 +1443,9 @@ def _point_kernel(roots, dims, name):
         except (ValueError, OverflowError, ZeroDivisionError,
                 FloatingPointError):
             out = _evaluate_all(roots, xs.tolist())
-            return out[0] if single else out
+            if single:
+                return out[0]
+            return np.array(out) if array_out else out
 
     return fn
 
@@ -1440,7 +1458,7 @@ def compile_function(f):
 def compile_vector(components, dims):
     """Fast callable returning the component values: a tuple, or a
     float64 array where the components are one lane group (see
-    ``_codegen``)."""
+    ``_codegen``), on the kernel's path and the walk's alike."""
     components = tuple(components)
     fn = _point_kernel(components, dims, "_v")
     if len(components) == 1:
@@ -1470,11 +1488,11 @@ class CompiledObjective:
 
     def gradient(self, x):
         self.total_evaluations += 1
-        return np.array(self._grad(x), dtype=float)
+        return np.asarray(self._grad(x), dtype=float)
 
     def hessian_diagonal(self, x):
         self.total_evaluations += 1
-        return np.array(self._hess(x), dtype=float)
+        return np.asarray(self._hess(x), dtype=float)
 
     @cached_property
     def _grad(self):

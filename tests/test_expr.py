@@ -620,6 +620,15 @@ class TestLanes:
         for src in sources:
             assert ".sum(" not in src and "np.add" not in src
 
+    def test_lanes_read_alone_use_item(self, monkeypatch):
+        # Levy's scalar code reads its first and last lanes of some
+        # groups; one .item(p) each is cheaper than unpacking 100 lanes
+        sources = spy_on_codegen(monkeypatch)
+        f = LANE_PROBLEMS["levy-100d"]()
+        ex.compile_vector(ex.gradient(f), f.dims)
+        assert sources[0].count(".item(") == 4
+        assert sources[0].count(".tolist()") == 1
+
     def test_ackley_100d_trig_call_sites(self, monkeypatch):
         # deterministic stand-in for the speed-up: the scalar kernels had
         # 100 sin and 100 cos call sites each
@@ -667,6 +676,7 @@ class TestLanes:
             got = kernel(x)
         assert _bits(got) == _bits(ex._evaluate_all(roots, x.tolist()))
         assert all(math.isnan(v) for v in got)
+        assert type(got) is np.ndarray  # the walk's result too
 
     def test_numpy_trig_matches_math(self):
         # the array kernels call np.sin and np.cos where the scalar ones
